@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .codegen import LinearCode, DecodingPlan, decoding_plan, design_min_max_code, parse_code
+from .codegen import LinearCode, DecodingPlan, design_min_max_code, parse_code
 from .enumeration import enumerate_optimal_codes, optimal_length
-from .errors import InfeasibleError, ValidationError
+from .errors import ValidationError
 from .graphcore import IndexCodingProblem, _as_int
 
 DEFAULT_SEED = 20240
@@ -88,7 +88,6 @@ class BepRecord:
     snr_db: float
     trials: int
     bit_errors: int
-    message_errors: int
     bep: float
 
 
@@ -202,10 +201,6 @@ def _symbols_to_points(code_symbols: np.ndarray, config: ChannelConfig) -> np.nd
     return const[inverse[gray_values]]
 
 
-def _points_needed(n_transmissions: int, config: ChannelConfig) -> int:
-    return -(-n_transmissions // config.bits_per_symbol)
-
-
 def modulate(code_symbols, config: ChannelConfig, snr_db: float = 0.0) -> np.ndarray:
     """Map code symbols to channel symbols at energy Es = 10^(snr_db/10).
 
@@ -269,8 +264,9 @@ def transmit_and_detect(
     """Pass channel symbols through fading + noise and hard-detect them.
 
     symbols has shape (S,) or (frames, S); each frame row gets one fading
-    coefficient and independent per-symbol noise.  Returns detected code
-    symbols (padding dropped when n_transmissions is given).
+    coefficient and independent per-symbol noise.  All fading coefficients
+    are drawn first, then all noise.  Returns detected code symbols (padding
+    dropped when n_transmissions is given).
     """
     arr = np.asarray(symbols, dtype=np.complex128)
     single = arr.ndim == 1
@@ -306,30 +302,22 @@ def _run_block(
     """Simulate one block of trials at one SNR point.
 
     The RNG stream is keyed by (seed, snr_idx, block_idx) and consumed in a
-    fixed order: message draw, then per receiver (ascending) fading then
-    noise.  Returns exact integer error counts, so any summation order gives
-    identical totals.
+    fixed order: message draw, then per receiver (ascending) one
+    transmit_and_detect call, which draws fading then noise.  Returns exact
+    integer error counts, so any summation order gives identical totals.
     """
     rng = np.random.Generator(
         np.random.Philox(key=config.seed, counter=[0, 0, snr_idx, block_idx])
     )
     q, n = problem.q, problem.n
-    n_trans = code.length
-    snr_db = config.snr_points_db[snr_idx]
-    amplitude = math.sqrt(10.0 ** (snr_db / 10.0))
-
     messages = rng.integers(0, q, size=(block_size, n), dtype=np.int64)
     code_symbols = messages @ code.matrix() % q
-    tx = amplitude * _symbols_to_points(code_symbols, config)
+    tx = modulate(code_symbols, config, config.snr_points_db[snr_idx])
 
     errors: dict[tuple[int, int], int] = {}
     raw_errors: dict[int, int] = {}
     for receiver in range(1, problem.m + 1):
-        h = _draw_fading(rng, block_size, config)
-        noise = _draw_noise(rng, tx.shape)
-        y = h[:, None] * tx + noise
-        idx = _detect_indices(y, h, config)
-        detected = _indices_to_symbols(idx, config, n_trans)
+        detected = transmit_and_detect(tx, config, rng, code.length)
         raw_errors[receiver] = int((detected != code_symbols).sum())
         for entry in grouped_plan.get(receiver, []):
             estimate = np.zeros(block_size, dtype=np.int64)
@@ -412,7 +400,6 @@ def simulate_bep(
                     snr_db=snr_db,
                     trials=config.trials,
                     bit_errors=wrong,
-                    message_errors=wrong,
                     bep=wrong / config.trials,
                 )
             )
@@ -462,38 +449,22 @@ def _config_summary(config: ChannelConfig) -> str:
     return ",".join(parts)
 
 
-def records_to_csv(
-    records, config: ChannelConfig, code: LinearCode, code_label: str = "code"
-) -> str:
-    """CSV with reproducibility header comments: seed, config, code hash."""
-    lines = [
-        f"# seed={config.seed}",
-        f"# config={_config_summary(config)}",
-        f"# code={code_label} sha256={code.code_hash()}",
-        "receiver,demand,snr_db,trials,bit_errors,bep",
-    ]
-    for rec in records:
-        lines.append(
-            f"{rec.receiver},{rec.demand},{rec.snr_db:g},{rec.trials},"
-            f"{rec.bit_errors},{rec.bep:.10g}"
-        )
+def records_to_csv(config: ChannelConfig, runs) -> str:
+    """CSV with reproducibility header comments: seed, config, code hashes.
+
+    runs lists (label, code, records).  One run gives the single-code layout;
+    several give the comparison layout, one `# code=` line per code and a
+    leading code-label column.
+    """
+    compare = len(runs) > 1
+    lines = [f"# seed={config.seed}", f"# config={_config_summary(config)}"]
+    lines += [f"# code={label} sha256={code.code_hash()}" for label, code, _ in runs]
+    lines.append(("code," if compare else "") + "receiver,demand,snr_db,trials,bit_errors,bep")
+    for label, _, records in runs:
+        prefix = f"{label}," if compare else ""
+        for rec in records:
+            lines.append(
+                f"{prefix}{rec.receiver},{rec.demand},{rec.snr_db:g},{rec.trials},"
+                f"{rec.bit_errors},{rec.bep:.10g}"
+            )
     return "\n".join(lines) + "\n"
-
-
-def sweep(
-    problem: IndexCodingProblem,
-    code_selector,
-    config: ChannelConfig,
-    *,
-    threads: int = 1,
-) -> str:
-    """End-to-end: resolve code, build plan, simulate, render CSV."""
-    if isinstance(code_selector, LinearCode):
-        code = code_selector
-        label = "custom"
-    else:
-        code = resolve_code_selector(problem, code_selector)
-        label = code_selector
-    plan = decoding_plan(code, problem)
-    records = simulate_bep(problem, code, plan, config, threads=threads)
-    return records_to_csv(records, config, code, code_label=label)

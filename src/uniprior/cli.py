@@ -33,6 +33,7 @@ from .enumeration import (
     classification_to_csv,
     classify_codes,
     enumerate_optimal_codes,
+    length_from_pruning,
     optimal_length,
 )
 from .errors import InfeasibleError, ValidationError
@@ -79,7 +80,7 @@ def cmd_prune(args) -> int:
         lines.append(f"direct messages: {len(direct)} {direct}")
     else:
         lines.append("direct messages: 0")
-    lines.append(f"optimal code length: {optimal_length(problem)}")
+    lines.append(f"optimal code length: {length_from_pruning(reduction, pruned)}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -124,33 +125,12 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     problem = parse_problem(args.problem)
     config = with_overrides(parse_config(args.config), seed=args.seed, trials=args.trials)
-    selectors = args.code
-    codes = [(sel, resolve_code_selector(problem, sel)) for sel in selectors]
-
-    if len(codes) == 1:
-        label, code = codes[0]
-        plan = decoding_plan(code, problem)
-        records = simulate_bep(problem, code, plan, config, threads=args.threads)
-        _emit(records_to_csv(records, config, code, code_label=label), args.out)
-        return 0
-
-    # Comparison mode: one merged CSV with a leading code-label column.
-    lines = [f"# seed={config.seed}"]
-    body: list[str] = []
+    codes = [(label, resolve_code_selector(problem, label)) for label in args.code]
+    runs = []
     for label, code in codes:
         plan = decoding_plan(code, problem)
-        records = simulate_bep(problem, code, plan, config, threads=args.threads)
-        single = records_to_csv(records, config, code, code_label=label).splitlines()
-        for line in single:
-            if line.startswith("# config=") and len(lines) == 1:
-                lines.append(line)
-            elif line.startswith("# code="):
-                lines.append(line)
-            elif not line.startswith(("#", "receiver,")):
-                body.append(f"{label},{line}")
-    lines.append("code,receiver,demand,snr_db,trials,bit_errors,bep")
-    lines.extend(body)
-    _emit("\n".join(lines) + "\n", args.out)
+        runs.append((label, code, simulate_bep(problem, code, plan, config, threads=args.threads)))
+    _emit(records_to_csv(config, runs), args.out)
     return 0
 
 

@@ -416,10 +416,6 @@ def plan_to_csv(plan: DecodingPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def code_to_mapping(code: LinearCode) -> dict:
-    return {"q": code.q, "n": code.n, "columns": [list(c) for c in code.columns]}
-
-
 def code_from_mapping(data) -> LinearCode:
     if not isinstance(data, dict):
         raise ValidationError("code document must be a mapping")

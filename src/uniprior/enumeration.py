@@ -16,7 +16,14 @@ from typing import Iterable, Iterator
 from .codegen import LinearCode, codeword_label, decoding_plan, transmission_counts
 from .errors import InfeasibleError, ValidationError
 from .fields import SpanBasis, unit_vector
-from .graphcore import IndexCodingProblem, build_flow_graph, prune, reduce_to_square
+from .graphcore import (
+    IndexCodingProblem,
+    PrunedGraph,
+    SquareReduction,
+    build_flow_graph,
+    prune,
+    reduce_to_square,
+)
 
 # Subset enumeration must stay at or below C(63, N); beyond these the search
 # is refused rather than attempted.
@@ -80,23 +87,30 @@ def enumerate_optimal_codes(problem: IndexCodingProblem, length: int) -> Iterato
             )
 
 
+def length_from_pruning(reduction: SquareReduction, pruned: PrunedGraph) -> int:
+    """Closed-form optimal length of a uniprior problem.
+
+    Over the pruned flow graph, each non-trivial component of size k needs
+    k - 1 coded symbols, and each leftover arc and each message known to
+    nobody needs one uncoded symbol.
+    """
+    return (
+        sum(len(c) - 1 for c in pruned.components)
+        + len(pruned.leftover_arcs)
+        + len(reduction.direct_messages)
+    )
+
+
 def optimal_length(problem: IndexCodingProblem) -> int:
     """Shortest achievable code length.
 
-    Uniprior problems use the closed form: over the pruned flow graph, each
-    non-trivial component of size k needs k - 1 coded symbols, and each
-    leftover arc and each message known to nobody needs one uncoded symbol.
-    Other problems fall back to brute force: the smallest N for which the
+    Uniprior problems use the closed form (length_from_pruning).  Other
+    problems fall back to brute force: the smallest N for which the
     enumeration is non-empty.
     """
     if problem.is_uniprior:
         reduction = reduce_to_square(problem)
-        pruned = prune(build_flow_graph(reduction.problem))
-        return (
-            sum(len(c) - 1 for c in pruned.components)
-            + len(pruned.leftover_arcs)
-            + len(reduction.direct_messages)
-        )
+        return length_from_pruning(reduction, prune(build_flow_graph(reduction.problem)))
     return brute_force_optimal_length(problem)
 
 

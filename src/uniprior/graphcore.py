@@ -40,10 +40,6 @@ class IndexCodingProblem:
         singles = [next(iter(k)) for k in self.known_sets]
         return len(set(singles)) == len(singles)
 
-    @property
-    def is_single_uniprior(self) -> bool:
-        return self.is_uniprior
-
     def known_message(self, receiver: int) -> int:
         """The unique message receiver knows (uniprior problems only)."""
         known = self.known_sets[receiver - 1]
@@ -62,9 +58,6 @@ class InformationFlowGraph:
 
     vertex_count: int
     arcs: frozenset[tuple[int, int]]
-
-    def out_arcs(self, vertex: int) -> list[tuple[int, int]]:
-        return sorted(a for a in self.arcs if a[0] == vertex)
 
 
 @dataclass(frozen=True)
@@ -93,10 +86,6 @@ class SquareReduction:
     problem: IndexCodingProblem
     direct_messages: frozenset[int]
     message_of_vertex: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def vertex_of_message(self) -> dict[int, int]:
-        return {old: new for new, old in self.message_of_vertex.items()}
 
 
 def _require_keys(mapping: dict, allowed: set[str], where: str) -> None:
@@ -237,30 +226,17 @@ def _adjacency(vertex_count: int, arcs) -> dict[int, list[int]]:
     return adj
 
 
-def _reaches(adj: dict[int, list[int]], source: int, target: int) -> bool:
-    """True iff target is reachable from source (possibly via a trivial path source == target)."""
-    if source == target:
-        return True
-    seen = {source}
-    stack = [source]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w == target:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def strongly_connected_components(graph: InformationFlowGraph) -> list[frozenset[int]]:
     """Maximal SCC partition, ordered by each component's smallest vertex."""
-    v_count = graph.vertex_count
-    adj = _adjacency(v_count, graph.arcs)
-    radj: dict[int, list[int]] = {v: [] for v in range(1, v_count + 1)}
-    for i, j in graph.arcs:
-        radj[j].append(i)
+    return _components(_adjacency(graph.vertex_count, graph.arcs))
+
+
+def _components(adj: dict[int, list[int]]) -> list[frozenset[int]]:
+    v_count = len(adj)
+    radj: dict[int, list[int]] = {v: [] for v in adj}
+    for i, heads in adj.items():
+        for j in heads:
+            radj[j].append(i)
 
     # Kosaraju: first pass records finish order with an iterative DFS.
     visited: set[int] = set()
@@ -304,36 +280,33 @@ def prune(graph: InformationFlowGraph) -> PrunedGraph:
     """Iteratively drop redundant off-cycle demand arcs, then label SCCs.
 
     While some vertex has more than one outgoing arc and at least one outgoing
-    arc (i, j) lying on no cycle (i.e. j does not reach i), all outgoing arcs
-    of i except (i, j) are removed.  Deterministic choice: vertices scanned in
-    ascending order, and among off-cycle arcs the smallest head is kept.
+    arc (i, j) lying on no cycle, all outgoing arcs of i except (i, j) are
+    removed.  An arc lies on no cycle iff its endpoints are in different
+    SCCs, so each round labels the SCCs once.  Deterministic choice: vertices
+    scanned in ascending order, and among off-cycle arcs the smallest head is
+    kept.
     """
-    arcs = set(graph.arcs)
-    while True:
-        adj = _adjacency(graph.vertex_count, arcs)
-        pick = None
-        for i in range(1, graph.vertex_count + 1):
-            heads = adj[i]
+    adj = _adjacency(graph.vertex_count, graph.arcs)
+    pruned_some = True
+    while pruned_some:
+        components = _components(adj)
+        label = {v: c for c, comp in enumerate(components) for v in comp}
+        pruned_some = False
+        for i, heads in adj.items():
             if len(heads) <= 1:
                 continue
-            off_cycle = [j for j in heads if not _reaches(adj, j, i)]
+            off_cycle = [j for j in heads if label[j] != label[i]]
             if off_cycle:
-                pick = (i, off_cycle[0])
+                adj[i] = off_cycle[:1]
+                pruned_some = True
                 break
-        if pick is None:
-            break
-        keep_tail, keep_head = pick
-        arcs = {a for a in arcs if a[0] != keep_tail}
-        arcs.add((keep_tail, keep_head))
 
-    residual = InformationFlowGraph(vertex_count=graph.vertex_count, arcs=frozenset(arcs))
-    non_trivial = tuple(
-        c for c in strongly_connected_components(residual) if len(c) >= 2
+    arcs = frozenset((i, j) for i, heads in adj.items() for j in heads)
+    residual = InformationFlowGraph(vertex_count=graph.vertex_count, arcs=arcs)
+    non_trivial = tuple(c for c in components if len(c) >= 2)
+    # Leftover: every arc not inside a non-trivial SCC (a self-loop on a
+    # singleton SCC included).
+    leftover = frozenset(
+        (i, j) for i, j in arcs if label[i] != label[j] or len(components[label[i]]) < 2
     )
-    in_component = set()
-    for comp in non_trivial:
-        for a in arcs:
-            if a[0] in comp and a[1] in comp:
-                in_component.add(a)
-    leftover = frozenset(arcs - in_component)
     return PrunedGraph(residual=residual, components=non_trivial, leftover_arcs=leftover)

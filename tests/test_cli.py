@@ -1,10 +1,12 @@
+import hashlib
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from conftest import code_path, config_path, problem_path
+from conftest import FIXTURES, code_path, config_path, problem_path
+from uniprior import cli, codegen, enumeration, graphcore
 from uniprior.codegen import design_min_max_code, parse_code
 from uniprior.graphcore import parse_problem
 
@@ -48,6 +50,22 @@ def test_prune_reports_leftovers_and_direct_messages(tmp_path):
     assert "leftover arcs: 1 [(3, 1)]" in out
     assert "direct messages: 1 [4]" in out
     assert "optimal code length: 3" in out
+
+
+def test_prune_runs_pruning_once(monkeypatch, capsys):
+    original = graphcore.prune
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    for module in (graphcore, cli, codegen, enumeration):
+        if getattr(module, "prune", None) is original:
+            monkeypatch.setattr(module, "prune", counting)
+    assert cli.main(["prune", "--problem", str(problem_path("five_user_two_step"))]) == 0
+    assert "optimal code length: " in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- codegen
@@ -236,6 +254,41 @@ def test_simulate_fixture_code_file():
     assert result.returncode == 0
     assert "# code=matrix:" in result.stdout
     assert len(result.stdout.strip().split("\n")) == 4 + 3 * 11
+
+
+# Frozen digests of `uniprior simulate` stdout: a change to the channel path,
+# the RNG draw order or the CSV writer that moves any byte fails here.  Code
+# labels embed the selector text, so the runs use paths relative to the
+# repository root.
+GOLDEN_SIMULATE_DIGESTS = [
+    (
+        [
+            "--problem", "fixtures/problems/four_user_cycle.yaml",
+            "--code", "alg2",
+            "--config", "fixtures/configs/smoke.yaml",
+        ],
+        "8740463bcc31b49591b9a95b2f621b1508008721aa464bb3b89f0742dd25c63a",
+    ),
+    (
+        [
+            "--problem", "fixtures/problems/seven_user_complete_f3.yaml",
+            "--code", "matrix:fixtures/codes/seven_user_star_f3.yaml",
+            "--code", "matrix:fixtures/codes/seven_user_path_f3.yaml",
+            "--config", "fixtures/configs/rayleigh_3psk.yaml",
+            "--trials", "2000",
+            "--threads", "2",
+        ],
+        "365be64de598a9bea22941b19ac6c051d44682a6a8c3808654b00442301b6a6a",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_SIMULATE_DIGESTS)
+def test_simulate_output_matches_golden_digest(args, digest, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES.parent)
+    assert cli.main(["simulate", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- analytic

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from conftest import problem_path
+from conftest import FIXTURES, problem_path
 from oracles import FOUR_USER_STRONG_ARCS, NINE_USER_ARCS
 from uniprior.errors import ValidationError
 from uniprior.graphcore import (
     InformationFlowGraph,
+    PrunedGraph,
     build_flow_graph,
     parse_problem,
     parse_problem_text,
@@ -201,3 +204,75 @@ def test_pruned_vertices_keep_at_most_one_outgoing_arc_or_all_on_cycles():
     for v in range(1, 10):
         out = [a for a in pruned.residual.arcs if a[0] == v]
         assert len(out) <= 1 or all(a in in_any_component for a in out)
+
+
+# ---------------------------------------------------------------- prune vs. reachability
+
+
+def _reaches(adj, source, target):
+    """True iff target is reachable from source (trivially when source == target)."""
+    if source == target:
+        return True
+    seen = {source}
+    stack = [source]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w == target:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def reference_prune(graph):
+    """Pruning with one reachability search per arc, as prune once did it."""
+    arcs = set(graph.arcs)
+    while True:
+        adj = {v: sorted(j for i, j in arcs if i == v) for v in range(1, graph.vertex_count + 1)}
+        pick = None
+        for i in range(1, graph.vertex_count + 1):
+            heads = adj[i]
+            if len(heads) <= 1:
+                continue
+            off_cycle = [j for j in heads if not _reaches(adj, j, i)]
+            if off_cycle:
+                pick = (i, off_cycle[0])
+                break
+        if pick is None:
+            break
+        arcs = {a for a in arcs if a[0] != pick[0]}
+        arcs.add(pick)
+    residual = InformationFlowGraph(vertex_count=graph.vertex_count, arcs=frozenset(arcs))
+    components = tuple(c for c in strongly_connected_components(residual) if len(c) >= 2)
+    inside = {a for c in components for a in arcs if a[0] in c and a[1] in c}
+    return PrunedGraph(
+        residual=residual, components=components, leftover_arcs=frozenset(arcs - inside)
+    )
+
+
+def _assert_same_pruning(graph):
+    fast, slow = prune(graph), reference_prune(graph)
+    assert fast.residual.arcs == slow.residual.arcs
+    assert fast.components == slow.components
+    assert fast.leftover_arcs == slow.leftover_arcs
+
+
+@pytest.mark.parametrize("path", sorted((FIXTURES / "problems").glob("*.yaml")), ids=lambda p: p.stem)
+def test_prune_matches_reachability_reference_on_fixtures(path):
+    _assert_same_pruning(build_flow_graph(reduce_to_square(parse_problem(path)).problem))
+
+
+def test_prune_matches_reachability_reference_on_random_digraphs():
+    rng = random.Random(4031)
+    for _ in range(2000):
+        v_count = rng.randint(2, 14)
+        density = rng.random()
+        # Self-loops are drawn too, although flow graphs have none.
+        arcs = frozenset(
+            (i, j)
+            for i in range(1, v_count + 1)
+            for j in range(1, v_count + 1)
+            if rng.random() < density
+        )
+        _assert_same_pruning(InformationFlowGraph(vertex_count=v_count, arcs=arcs))

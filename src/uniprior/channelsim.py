@@ -18,12 +18,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .codegen import LinearCode, DecodingPlan, design_min_max_code, parse_code
 from .enumeration import enumerate_optimal_codes, optimal_length
 from .errors import ValidationError
-from .graphcore import IndexCodingProblem, _as_int
+from .graphcore import IndexCodingProblem, _as_int, load_yaml
 
 DEFAULT_SEED = 20240
 # Trials are simulated in fixed-size blocks; each block owns one RNG stream.
@@ -137,11 +136,7 @@ def config_from_mapping(data) -> ChannelConfig:
 
 
 def parse_config_text(text: str) -> ChannelConfig:
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"malformed config document: {exc}") from exc
-    return config_from_mapping(data)
+    return config_from_mapping(load_yaml(text, "config"))
 
 
 def parse_config(path: str | Path) -> ChannelConfig:

@@ -18,10 +18,9 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import InfeasibleError, ValidationError
-from .fields import SUPPORTED_FIELD_ORDERS, unit_vector, vec_add, vec_scale, SpanBasis
+from .fields import SUPPORTED_FIELD_ORDERS, ColumnBasis, SpanBasis, unit_vector, vec_add, vec_scale
 from .graphcore import (
     IndexCodingProblem,
     InformationFlowGraph,
@@ -30,6 +29,7 @@ from .graphcore import (
     _as_int,
     _require_keys,
     build_flow_graph,
+    load_yaml,
     prune,
     reduce_to_square,
 )
@@ -37,7 +37,9 @@ from .graphcore import (
 # Components with at most this many vertices are searched exhaustively over
 # all labeled spanning trees (k^(k-2) of them); larger ones use a star.
 EXHAUSTIVE_TREE_LIMIT = 8
-# Decoding-plan search is combinatorial in the code length; refuse beyond this.
+# The decoding-plan search for codes with linearly dependent columns is
+# combinatorial in the code length; refuse beyond this.  Codes with
+# independent columns are solved by row reduction at any length.
 PLAN_SEARCH_LIMIT = 20
 
 
@@ -381,26 +383,69 @@ def _best_decode(code: LinearCode, receiver: int, demand: int, known: list[int])
     )
 
 
+def _solved_decode(
+    basis: ColumnBasis, receiver: int, demand: int, known: list[int]
+) -> DemandPlan:
+    """The plan _best_decode finds, read off independent columns.
+
+    For each multiple alphas of the known messages, e_demand - sum alphas * e_k
+    has at most one set of coordinates in independent columns.  So the
+    search's first hit is the smallest (count, column subset, alphas in
+    itertools.product order) over the alphas that have coordinates, and its
+    coefficients are those coordinates.  (Over F_2 and F_3 two alphas never
+    tie on count and subset: their coordinates would differ inside one
+    support, and an affine combination of the two would use fewer columns.)
+    """
+    q = basis.q
+    best = None
+    for alphas in itertools.product(range(q), repeat=len(known)):
+        terms = [(demand, 1)] + [(k, -a) for k, a in zip(known, alphas) if a]
+        coords = basis.coordinates(terms)
+        if coords is None:
+            continue
+        key = (len(coords), [col for col, _ in coords])
+        if best is None or key < best[0]:
+            best = (key, alphas, coords)
+    if best is None:
+        raise InfeasibleError(
+            f"receiver {receiver} cannot recover message {demand} from this code"
+        )
+    _, alphas, coords = best
+    return DemandPlan(
+        receiver=receiver,
+        demand=demand,
+        known_terms=tuple((k, a) for k, a in zip(known, alphas) if a),
+        code_terms=coords,
+    )
+
+
 def decoding_plan(code: LinearCode, problem: IndexCodingProblem) -> DecodingPlan:
     """Minimal-count decoding recipe for every (receiver, demand) pair.
 
-    For each demand the search returns the fewest received symbols whose
+    For each demand the plan uses the fewest received symbols whose
     combination with a multiple of the receiver's known messages yields the
     wanted one; ties go to the lexicographically earliest column subset and
-    smallest coefficients.
+    smallest coefficients.  Codes with linearly independent columns (every
+    designed code and every optimal-length code) are solved from one row
+    reduction; others fall back to the search, up to PLAN_SEARCH_LIMIT.
     """
     if code.q != problem.q:
         raise ValidationError(f"code is over q={code.q} but problem is over q={problem.q}")
     if code.n != problem.n:
         raise ValidationError(f"code covers {code.n} messages but problem has {problem.n}")
-    if code.length > PLAN_SEARCH_LIMIT:
+    basis = ColumnBasis.of(code.n, code.q, code.columns)
+    if basis is None and code.length > PLAN_SEARCH_LIMIT:
         raise InfeasibleError(
-            f"decoding-plan search not attempted for codes longer than {PLAN_SEARCH_LIMIT}"
+            "decoding-plan search not attempted for codes with dependent columns "
+            f"longer than {PLAN_SEARCH_LIMIT}"
         )
-    entries = [
-        _best_decode(code, receiver, demand, sorted(problem.known_sets[receiver - 1]))
-        for receiver, demand in problem.demands()
-    ]
+    entries = []
+    for receiver, demand in problem.demands():
+        known = sorted(problem.known_sets[receiver - 1])
+        if basis is None:
+            entries.append(_best_decode(code, receiver, demand, known))
+        else:
+            entries.append(_solved_decode(basis, receiver, demand, known))
     return DecodingPlan(code=code, entries=tuple(entries))
 
 
@@ -434,11 +479,7 @@ def code_from_mapping(data) -> LinearCode:
 
 
 def parse_code_text(text: str) -> LinearCode:
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"malformed code document: {exc}") from exc
-    return code_from_mapping(data)
+    return code_from_mapping(load_yaml(text, "code"))
 
 
 def parse_code(path: str | Path) -> LinearCode:

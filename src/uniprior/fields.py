@@ -1,8 +1,9 @@
 """Small dense linear algebra over the prime fields F_2 and F_3.
 
-Vectors are tuples of ints in [0, q).  Everything here operates on tiny
-dimensions (n <= ~20), so clarity wins over asymptotics; the F_2 path packs
-vectors into int bitmasks since it sits inside the enumeration hot loop.
+Vectors are tuples of ints in [0, q).  The helpers favour clarity over
+asymptotics.  The two bases pack vectors into int bitmasks, since they sit
+inside the enumeration and decoding-plan hot loops: an F_2 vector is one
+bitmask, and ColumnBasis holds an F_3 vector as a pair of bitmasks.
 """
 
 from __future__ import annotations
@@ -116,3 +117,120 @@ class SpanBasis:
         if self.q == 2:
             return self._reduce2(pack_bits(vec)) == 0
         return all(x == 0 for x in self._reduce3(vec))
+
+
+_ZERO = {2: 0, 3: (0, 0)}
+
+
+def _pack(vec: Sequence[int], q: int):
+    """F_q vector -> F_2 bitmask, or F_3 pair (mask of 1s, mask of 2s)."""
+    if q == 2:
+        return pack_bits(vec)
+    return pack_bits([x == 1 for x in vec]), pack_bits([x == 2 for x in vec])
+
+
+def _bit(i: int, q: int):
+    """Packed unit vector with a 1 at 0-based position i."""
+    return 1 << i if q == 2 else (1 << i, 0)
+
+
+def _add(x, y, q: int):
+    if q == 2:
+        return x ^ y
+    (x1, x2), (y1, y2) = x, y
+    x0, y0 = ~(x1 | x2), ~(y1 | y2)
+    return (x1 & y0) | (y1 & x0) | (x2 & y2), (x2 & y0) | (y2 & x0) | (x1 & y1)
+
+
+def _scale(x, s: int, q: int):
+    s %= q
+    if s == 0:
+        return _ZERO[q]
+    if s == 1:
+        return x
+    return x[1], x[0]  # F_3 doubling swaps the 1s and the 2s
+
+
+def _support(x, q: int) -> int:
+    return x if q == 2 else x[0] | x[1]
+
+
+def _coeff(x, i: int, q: int) -> int:
+    if q == 2:
+        return (x >> i) & 1
+    return (x[0] >> i) & 1 or 2 * ((x[1] >> i) & 1)
+
+
+def _positions(mask: int):
+    """Set bit positions of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ColumnBasis:
+    """Row reduction of linearly independent columns c_1..c_N of F_q^n.
+
+    Reducing the columns once fixes, for every unit vector e_i, a residue
+    rho_i that is zero at every pivot and coordinates beta_i with
+    e_i = sum_j beta_i[j] * c_j + rho_i.  Both are linear in the vector, so
+    a combination of unit vectors lies in the span iff the same combination
+    of residues vanishes, and its coordinates (unique, the columns being
+    independent) are the same combination of the beta_i.  Build it with
+    ColumnBasis.of(), which gives None for dependent columns.
+    """
+
+    def __init__(self, n: int, q: int, rows: dict[int, tuple]):
+        self.q = q
+        self._units = []  # message i + 1 -> (rho, beta) of its unit vector
+        for i in range(n):
+            if i in rows:
+                vec, tag = rows[i]
+                self._units.append((_add(_bit(i, q), _scale(vec, -1, q), q), tag))
+            else:
+                self._units.append((_bit(i, q), _ZERO[q]))
+
+    @classmethod
+    def of(cls, n: int, q: int, columns: Sequence[Sequence[int]]) -> "ColumnBasis | None":
+        if q not in (2, 3):
+            raise ValueError(f"unsupported field order {q}")
+        # pivot -> (reduced vector, the combination of columns it equals);
+        # every row has a 1 at its pivot and 0 at the other pivots
+        rows: dict[int, tuple] = {}
+        pivots = 0
+        for j, col in enumerate(columns):
+            vec, tag = _pack(col, q), _bit(j, q)
+            for p in _positions(_support(vec, q) & pivots):
+                c = -_coeff(vec, p, q)
+                vec = _add(vec, _scale(rows[p][0], c, q), q)
+                tag = _add(tag, _scale(rows[p][1], c, q), q)
+            pivot = next(_positions(_support(vec, q)), None)
+            if pivot is None:
+                return None
+            if _coeff(vec, pivot, q) == 2:
+                vec, tag = _scale(vec, 2, q), _scale(tag, 2, q)
+            for p, (rvec, rtag) in rows.items():
+                c = -_coeff(rvec, pivot, q)
+                if c:
+                    rows[p] = (_add(rvec, _scale(vec, c, q), q), _add(rtag, _scale(tag, c, q), q))
+            rows[pivot] = (vec, tag)
+            pivots |= 1 << pivot
+        return cls(n, q, rows)
+
+    def coordinates(self, terms) -> tuple[tuple[int, int], ...] | None:
+        """Coordinates of the sum of coeff * e_message over (message, coeff) terms.
+
+        Messages and the returned columns are 1-based.  The result lists the
+        (column, coeff) pairs with nonzero coeff in ascending column order; it
+        is None when the vector lies outside the span.
+        """
+        q = self.q
+        residue = beta = _ZERO[q]
+        for msg, coeff in terms:
+            rho, b = self._units[msg - 1]
+            residue = _add(residue, _scale(rho, coeff, q), q)
+            beta = _add(beta, _scale(b, coeff, q), q)
+        if _support(residue, q):
+            return None
+        return tuple((j + 1, _coeff(beta, j, q)) for j in _positions(_support(beta, q)))

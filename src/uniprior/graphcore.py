@@ -154,12 +154,20 @@ def problem_from_mapping(data) -> IndexCodingProblem:
     return IndexCodingProblem(q=q, n=n, want_sets=want_sets, known_sets=known_sets)
 
 
-def parse_problem_text(text: str) -> IndexCodingProblem:
+# libyaml's scanner builds the same objects as the pure-Python one, faster.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def load_yaml(text: str, what: str):
+    """Decode one YAML document safely; `what` names it in the error."""
     try:
-        data = yaml.safe_load(text)
+        return yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ValidationError(f"malformed problem document: {exc}") from exc
-    return problem_from_mapping(data)
+        raise ValidationError(f"malformed {what} document: {exc}") from exc
+
+
+def parse_problem_text(text: str) -> IndexCodingProblem:
+    return problem_from_mapping(load_yaml(text, "problem"))
 
 
 def parse_problem(path: str | Path) -> IndexCodingProblem:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES, code_path, config_path, problem_path
+from conftest import FIXTURES, code_path, config_path, problem_path, random_square_problem_text
 from uniprior import cli, codegen, enumeration, graphcore
 from uniprior.codegen import design_min_max_code, parse_code
 from uniprior.graphcore import parse_problem
@@ -94,6 +94,32 @@ def test_codegen_writes_matrix_and_plan(tmp_path):
     plan_lines = (out_dir / "plan.csv").read_text().strip().split("\n")
     assert plan_lines[0] == "receiver,demand,count,expression"
     assert len(plan_lines) == 1 + 6  # one row per (receiver, demand)
+
+
+def test_codegen_plans_a_300_receiver_problem(tmp_path, capsys):
+    doc = tmp_path / "large.yaml"
+    doc.write_text(random_square_problem_text(300, 2, 0.1, seed=300))
+    assert cli.main(["codegen", "--problem", str(doc), "--out", str(tmp_path / "design")]) == 0
+    assert "max transmissions per demand: 2" in capsys.readouterr().out
+    plan_lines = (tmp_path / "design" / "plan.csv").read_text().strip().split("\n")
+    assert len(plan_lines) == 1 + len(parse_problem(doc).demands())
+
+
+def test_long_code_with_dependent_columns_is_not_searched(tmp_path):
+    # 21 unit columns plus their sum: dependent and longer than the search bound
+    n = codegen.PLAN_SEARCH_LIMIT + 1
+    rows = [[int(i == j) for i in range(n)] for j in range(n)] + [[1] * n]
+    matrix = tmp_path / "dependent.yaml"
+    matrix.write_text(f"q: 2\nn: {n}\ncolumns:\n" + "".join(f"  - {r}\n" for r in rows))
+    doc = tmp_path / "problem.yaml"
+    doc.write_text(random_square_problem_text(n, 2, 0.2, seed=21))
+    result = run_cli(
+        "simulate", "--problem", str(doc), "--code", f"matrix:{matrix}",
+        "--config", str(config_path("smoke")),
+    )
+    assert result.returncode == 2
+    assert "not attempted" in result.stderr
+    assert result.stdout == ""
 
 
 # ---------------------------------------------------------------- enumerate

@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from conftest import code_path, problem_path
+from conftest import code_path, problem_path, random_square_problem_text
 from oracles import (
     FIVE_USER_TWO_STEP_COUNT_MULTISET,
     FOUR_USER_STRONG_COUNT_MULTISET,
@@ -12,8 +14,11 @@ from oracles import (
     NINE_USER_TREE_C_COUNTS,
     THREE_USER_COUNTS,
 )
+from test_acceptance import _random_instance
 from uniprior.codegen import (
+    PLAN_SEARCH_LIMIT,
     LinearCode,
+    _best_decode,
     _tree_search_tables,
     build_index_code,
     codeword_label,
@@ -26,8 +31,10 @@ from uniprior.codegen import (
     transmission_counts,
     write_code,
 )
+from uniprior.enumeration import enumerate_optimal_codes, optimal_length
 from uniprior.errors import InfeasibleError, ValidationError
-from uniprior.graphcore import parse_problem, parse_problem_text
+from uniprior.fields import ColumnBasis, SpanBasis, unit_vector
+from uniprior.graphcore import parse_problem, parse_problem_text, problem_from_mapping
 
 
 def support(vec):
@@ -363,3 +370,111 @@ def test_codeword_label_formats():
     assert codeword_label((1, 1, 0), 2) == "x1+x2"
     assert codeword_label((0, 0, 1), 2) == "x3"
     assert codeword_label((1, 0, 2), 3) == "x1+2*x3"
+
+
+# ---------------------------------------------------------------------------
+# plans read off independent columns against the subset search
+
+
+def search_plan(code, problem):
+    """_best_decode's entry for every demand, or the text of its refusal."""
+    entries = []
+    for receiver, demand in problem.demands():
+        known = sorted(problem.known_sets[receiver - 1])
+        try:
+            entries.append(_best_decode(code, receiver, demand, known))
+        except InfeasibleError as exc:
+            entries.append(str(exc))
+    return entries
+
+
+def assert_plan_matches_search(code, problem):
+    # independent columns, so decoding_plan reads the plan off the row reduction
+    assert ColumnBasis.of(code.n, code.q, code.columns) is not None
+    assert list(decoding_plan(code, problem).entries) == search_plan(code, problem)
+
+
+def test_plans_match_search_on_random_designed_codes():
+    rng = random.Random(987123)  # the 1000-instance acceptance test's first 200
+    for _ in range(200):
+        problem = _random_instance(rng)
+        assert_plan_matches_search(design_min_max_code(problem).code, problem)
+
+
+FOUR_CYCLE_F3 = "q: 3\nn: 4\nreceivers:\n" + "".join(
+    f"  - {{id: {i}, wants: [{i % 4 + 1}], knows: [{i}]}}\n" for i in range(1, 5)
+)
+
+
+@pytest.mark.parametrize(
+    "problem, total",
+    [(parse_problem(problem_path("five_user_cycle")), 840), (parse_problem_text(FOUR_CYCLE_F3), 1872)],
+    ids=["five_user_cycle", "four_cycle_f3"],
+)
+def test_plans_match_search_on_every_optimal_code(problem, total):
+    codes = list(enumerate_optimal_codes(problem, optimal_length(problem)))
+    assert len(codes) == total
+    for code in codes:
+        assert_plan_matches_search(code, problem)
+
+
+@pytest.mark.parametrize(
+    "problem_name, code_name",
+    [("nine_user_skip", c) for c in ("nine_user_star", "nine_user_path", "nine_user_tree_b", "nine_user_tree_c")]
+    + [("seven_user_complete", c) for c in ("seven_user_star", "seven_user_path")]
+    + [("seven_user_complete_f3", c) for c in ("seven_user_star_f3", "seven_user_path_f3")],
+)
+def test_plans_match_search_on_fixture_codes(problem_name, code_name):
+    assert_plan_matches_search(parse_code(code_path(code_name)), parse_problem(problem_path(problem_name)))
+
+
+def test_plans_match_search_with_several_known_messages():
+    # Receivers knowing up to three messages try up to 27 multiples each, and
+    # random codes leave some demands unserved, so the refusal is compared too.
+    rng = random.Random(2718)
+    refused = 0
+    for _ in range(200):
+        q, n = rng.choice((2, 3)), rng.randint(2, 6)
+        basis, columns = SpanBasis(n, q), []
+        for _ in range(rng.randint(1, n)):
+            col = tuple(rng.randrange(q) for _ in range(n))
+            if basis.add(col):
+                columns.append(col)
+        code = LinearCode(q=q, n=n, columns=tuple(columns))
+        for _ in range(3):
+            messages = rng.sample(range(1, n + 1), rng.randint(2, min(n, 5)))
+            split = rng.randint(1, min(3, len(messages) - 1))
+            receiver = {"id": 1, "knows": messages[:split], "wants": messages[split:]}
+            problem = problem_from_mapping({"q": q, "n": n, "receivers": [receiver]})
+            expected = search_plan(code, problem)
+            if any(isinstance(e, str) for e in expected):
+                refused += 1
+                first = next(e for e in expected if isinstance(e, str))
+                with pytest.raises(InfeasibleError) as caught:
+                    decoding_plan(code, problem)
+                assert str(caught.value) == first
+            else:
+                assert_plan_matches_search(code, problem)
+    assert 50 < refused < 550
+
+
+def test_designed_300_receiver_code_gets_an_exact_plan():
+    problem = parse_problem_text(random_square_problem_text(300, 2, 0.1, seed=300))
+    design = design_min_max_code(problem)
+    code = design.code
+    assert code.length > PLAN_SEARCH_LIMIT
+    plan = decoding_plan(code, problem)
+    assert [(e.receiver, e.demand) for e in plan.entries] == problem.demands()
+
+    component_messages = {
+        design.reduction.message_of_vertex[v] for comp in design.pruned.components for v in comp
+    }
+    matrix = code.matrix()
+    for e in plan.entries:
+        total = np.zeros(code.n, dtype=np.int64)
+        for msg, coeff in e.known_terms:
+            total[msg - 1] += coeff
+        for col, coeff in e.code_terms:
+            total += coeff * matrix[:, col - 1]
+        assert (total % code.q).tolist() == list(unit_vector(code.n, e.demand))
+        assert e.count <= (2 if e.demand in component_messages else 1)

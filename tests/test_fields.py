@@ -3,6 +3,7 @@ import random
 import pytest
 
 from uniprior.fields import (
+    ColumnBasis,
     SpanBasis,
     pack_bits,
     unit_vector,
@@ -91,3 +92,35 @@ def test_rank_never_exceeds_dimension(q):
     for _ in range(30):
         vectors = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(8)]
         assert SpanBasis(n, q, vectors).rank <= n
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_column_basis_recovers_coordinates(q):
+    # Vectors built from independent columns get their coordinates back;
+    # vectors outside the span get None.
+    rng = random.Random(77 + q)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        columns, basis = [], SpanBasis(n, q)
+        for _ in range(rng.randint(1, n)):
+            col = tuple(rng.randrange(q) for _ in range(n))
+            if basis.add(col):
+                columns.append(col)
+        solver = ColumnBasis.of(n, q, columns)
+        coeffs = [rng.randrange(q) for _ in columns]
+        vec = (0,) * n
+        for c, col in zip(coeffs, columns):
+            vec = vec_add(vec, vec_scale(col, c, q), q)
+        terms = [(i, x) for i, x in enumerate(vec, start=1)]
+        expected = tuple((j, c) for j, c in enumerate(coeffs, start=1) if c)
+        assert solver.coordinates(terms) == expected
+        outside = tuple(rng.randrange(q) for _ in range(n))
+        if not basis.contains(outside):
+            assert solver.coordinates(list(enumerate(outside, start=1))) is None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_column_basis_refuses_dependent_columns(q):
+    assert ColumnBasis.of(3, q, [(1, 1, 0), (0, 1, 1), (1, 2 % q, 1)]) is None
+    assert ColumnBasis.of(2, q, [(1, 0), (0, 1), (1, 1)]) is None
+    assert ColumnBasis.of(2, q, [(1, 0), (0, 1)]) is not None

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+import yaml
 
 from conftest import FIXTURES, problem_path
 from oracles import FOUR_USER_STRONG_ARCS, NINE_USER_ARCS
+from uniprior import graphcore
+from uniprior.channelsim import parse_config_text
+from uniprior.codegen import parse_code_text
 from uniprior.errors import ValidationError
 from uniprior.graphcore import (
     InformationFlowGraph,
@@ -64,6 +68,31 @@ def test_demands_are_sorted():
 def test_parse_rejections(text, fragment):
     with pytest.raises(ValidationError, match=fragment):
         parse_problem_text(text)
+
+
+FIXTURE_PARSERS = {"problems": parse_problem_text, "configs": parse_config_text, "codes": parse_code_text}
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.glob("*/*.yaml")), ids=lambda p: f"{p.parent.name}/{p.stem}"
+)
+def test_libyaml_and_pure_python_loaders_agree_on_fixtures(path, monkeypatch):
+    text = path.read_text()
+    parse = FIXTURE_PARSERS[path.parent.name]
+    assert graphcore.YAML_LOADER is yaml.CSafeLoader
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    parsed = parse(text)
+    monkeypatch.setattr(graphcore, "YAML_LOADER", yaml.SafeLoader)
+    assert parse(text) == parsed
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)])
+@pytest.mark.parametrize("parse, what", [(p, w[:-1]) for w, p in FIXTURE_PARSERS.items()])
+def test_malformed_document_is_rejected_by_either_loader(loader, parse, what, monkeypatch):
+    monkeypatch.setattr(graphcore, "YAML_LOADER", loader)
+    with pytest.raises(ValidationError, match=f"malformed {what} document"):
+        parse("q: [unclosed\n")
 
 
 def test_uniprior_detection():

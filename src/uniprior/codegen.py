@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -34,65 +35,112 @@ from .graphcore import (
     reduce_to_square,
 )
 
-# Components with at most this many vertices are searched exhaustively over
-# all labeled spanning trees (k^(k-2) of them); larger ones use a star.
+# Components with at most this many vertices whose demand support has a cycle
+# are searched exhaustively over all labeled spanning trees (k^(k-2) of them);
+# larger ones use a star.
 EXHAUSTIVE_TREE_LIMIT = 8
-# The decoding-plan search for codes with linearly dependent columns is
-# combinatorial in the code length; refuse beyond this.  Codes with
+# The decoding-plan search for codes with linearly dependent columns tries up
+# to q^N combinations for a code of length N; refuse when q^N exceeds
+# 2^PLAN_SEARCH_LIMIT (20 columns over F_2, 12 over F_3).  Codes with
 # independent columns are solved by row reduction at any length.
 PLAN_SEARCH_LIMIT = 20
 
 
 @lru_cache(maxsize=None)
-def _tree_search_tables(k: int):
-    """All labeled trees on vertices 0..k-1, as parallel arrays.
+def _pair_bits(k: int) -> dict[tuple[int, int], int]:
+    """The mask bit of each vertex pair (a, b), a < b, in ascending order.
 
-    Returns (lo, hi, codes, dist): lo/hi are (T, k-1) endpoint arrays with
-    lo < hi and edges sorted canonically within each tree; codes = lo * k + hi
-    for lexicographic comparison; dist is the (T, k, k) matrix of tree
-    distances.  Trees are decoded from all k^(k-2) sequences via the standard
-    smallest-leaf construction, vectorized across trees.
+    The pair of rank r gets bit P - 1 - r, where P = k(k-1)/2.  Between two
+    trees, the larger edge mask is then the lexicographically smaller sorted
+    edge list.
+    """
+    pairs = list(itertools.combinations(range(k), 2))
+    return {pair: len(pairs) - 1 - rank for rank, pair in enumerate(pairs)}
+
+
+@lru_cache(maxsize=None)
+def _tree_search_tables(k: int):
+    """All labeled trees on vertices 0..k-1, as two int32 pair masks each.
+
+    Returns (edges, squares): edges[t] has the bit (see _pair_bits) of every
+    edge of tree t; squares[t] has the bit of every pair at tree distance at
+    most 2, i.e. of every pair inside some closed neighbourhood.  Trees are
+    decoded from all k^(k-2) sequences via the standard smallest-leaf
+    construction, vectorized across trees.
     """
     if k == 2:
-        seqs = np.zeros((1, 0), dtype=np.int64)
+        seqs = np.zeros((1, 0), dtype=np.int8)
     else:
-        seqs = np.indices((k,) * (k - 2)).reshape(k - 2, -1).T.copy()
+        seqs = np.indices((k,) * (k - 2), dtype=np.int8).reshape(k - 2, -1).T
     t_count = seqs.shape[0]
     rows = np.arange(t_count)
 
-    deg = np.ones((t_count, k), dtype=np.int16)
+    deg = np.ones((t_count, k), dtype=np.int8)
     for v in range(k):
-        deg[:, v] += (seqs == v).sum(axis=1)
-    edges = np.empty((t_count, k - 1, 2), dtype=np.int16)
+        deg[:, v] += (seqs == v).sum(axis=1, dtype=np.int8)
+    ends = np.empty((2, k - 1, t_count), dtype=np.int8)
     for step in range(k - 2):
-        joined = seqs[:, step]
         leaf = np.argmax(deg == 1, axis=1)
-        edges[:, step, 0] = leaf
-        edges[:, step, 1] = joined
+        ends[:, step] = leaf, seqs[:, step]
         deg[rows, leaf] -= 1
-        deg[rows, joined] -= 1
+        deg[rows, seqs[:, step]] -= 1
     first = np.argmax(deg == 1, axis=1)
     deg[rows, first] = 0
-    second = np.argmax(deg == 1, axis=1)
-    edges[:, k - 2, 0] = first
-    edges[:, k - 2, 1] = second
+    ends[:, k - 2] = first, np.argmax(deg == 1, axis=1)
 
-    lo = np.minimum(edges[:, :, 0], edges[:, :, 1])
-    hi = np.maximum(edges[:, :, 0], edges[:, :, 1])
-    codes = lo * k + hi
-    order = np.argsort(codes, axis=1)
-    codes = np.take_along_axis(codes, order, axis=1)
-    lo = np.take_along_axis(lo, order, axis=1)
-    hi = np.take_along_axis(hi, order, axis=1)
+    pair_mask = np.zeros((k, k), dtype=np.int32)
+    for (a, b), bit in _pair_bits(k).items():
+        pair_mask[a, b] = pair_mask[b, a] = 1 << bit
+    vertex_mask = (1 << np.arange(k)).astype(np.int16)
+    edges = np.zeros(t_count, dtype=np.int32)
+    hoods = np.tile(vertex_mask, (t_count, 1))
+    for u, v in ends.transpose(1, 0, 2):
+        edges |= pair_mask[u, v]
+        hoods[rows, u] |= vertex_mask[v]
+        hoods[rows, v] |= vertex_mask[u]
+    # inside[s] has the bit of every pair within the vertex set s
+    sets = np.arange(1 << k)
+    inside = np.zeros(1 << k, dtype=np.int32)
+    for (a, b), bit in _pair_bits(k).items():
+        inside[(sets >> a) & (sets >> b) & 1 == 1] |= 1 << bit
+    squares = np.bitwise_or.reduce(inside[hoods], axis=1)
+    return edges, squares
 
-    dist = np.full((t_count, k, k), 4 * k, dtype=np.int16)
-    diag = np.arange(k)
-    dist[:, diag, diag] = 0
-    dist[rows[:, None], lo, hi] = 1
-    dist[rows[:, None], hi, lo] = 1
-    for mid in range(k):
-        np.minimum(dist, dist[:, :, mid, None] + dist[:, mid, None, :], out=dist)
-    return lo, hi, codes, dist
+
+def _support_tree(k: int, pairs) -> list[tuple[int, int]] | None:
+    """The lexicographically first spanning tree on 0..k-1 containing every
+    pair, or None when the pairs contain a cycle.
+
+    Kruskal's greedy with the pairs forced first and then every pair in
+    ascending (a, b) order; on a graphic matroid this gives, position by
+    position, the smallest sorted edge list among the trees containing them.
+    """
+    if len(pairs) >= k:  # a forest on k vertices has at most k - 1 edges
+        return None
+    parent = list(range(k))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def join(a, b):
+        a, b = root(a), root(b)
+        parent[a] = b
+        return a != b
+
+    tree = []
+    for a, b in sorted(pairs):
+        if not join(a, b):
+            return None
+        tree.append((a, b))
+    for a, b in itertools.combinations(range(k), 2):
+        if len(tree) == k - 1:
+            break
+        if join(a, b):
+            tree.append((a, b))
+    return sorted(tree)
 
 
 def min_max_spanning_tree(
@@ -101,10 +149,16 @@ def min_max_spanning_tree(
     """Spanning tree minimizing the worst tree distance over demand arcs.
 
     Ties are broken by smallest total distance, then by the lexicographically
-    smallest sorted edge list.  Components of at most EXHAUSTIVE_TREE_LIMIT
-    vertices are searched exhaustively; larger ones fall back to the star
-    whose center touches the most demand arcs (smallest vertex on ties).
-    Returns edges as (u, v) pairs with u < v, sorted.
+    smallest sorted edge list.  A star puts every pair within distance 2, so
+    the best worst distance is at most 2, and it is at most 1 exactly when
+    the undirected demand support S is a forest: then the winner is the first
+    tree containing S, at any size.  Otherwise a tree T is feasible iff every
+    pair of S lies in T's square, and its total is 2 * W - w(T & S), with a
+    pair's weight w its number of demand arcs; components of at most
+    EXHAUSTIVE_TREE_LIMIT vertices take the best feasible tree from the
+    precomputed masks, larger ones fall back to the star whose center touches
+    the most demand arcs (smallest vertex on ties).  Returns edges as (u, v)
+    pairs with u < v, sorted.
     """
     verts = sorted(set(component_vertices))
     if not verts:
@@ -119,26 +173,24 @@ def min_max_spanning_tree(
             raise ValidationError(f"demand arc ({a}, {b}) leaves the component")
         if a == b:
             raise ValidationError(f"demand arc ({a}, {a}) is a self-loop")
-        local.append((index_of[a], index_of[b]))
+        i, j = index_of[a], index_of[b]
+        local.append((i, j) if i < j else (j, i))
+
+    weight = Counter(local)
+    tree = _support_tree(k, weight)
+    if tree is not None:
+        return [(verts[a], verts[b]) for a, b in tree]
 
     if k <= EXHAUSTIVE_TREE_LIMIT:
-        lo, hi, codes, dist = _tree_search_tables(k)
-        if local:
-            u = np.array([a for a, _ in local])
-            v = np.array([b for _, b in local])
-            arc_dist = dist[:, u, v]
-            max_d = arc_dist.max(axis=1)
-            tot_d = arc_dist.sum(axis=1)
-        else:
-            max_d = np.zeros(codes.shape[0], dtype=np.int16)
-            tot_d = max_d
-        cand = np.flatnonzero(max_d == max_d.min())
-        cand = cand[tot_d[cand] == tot_d[cand].min()]
-        rows = codes[cand]
-        winner = int(cand[np.lexsort(rows[:, ::-1].T)[0]])
-        return sorted(
-            (verts[int(a)], verts[int(b)]) for a, b in zip(lo[winner], hi[winner])
-        )
+        edges, squares = _tree_search_tables(k)
+        bits = _pair_bits(k)
+        need = sum(1 << bits[pair] for pair in weight)
+        feasible = edges[(squares & need) == need]
+        # demand weight on each feasible tree's edges
+        on_tree = (feasible[:, None] >> np.array([bits[pair] for pair in weight])) & 1
+        gain = on_tree @ np.array(list(weight.values()), dtype=np.int64)
+        mask = int(feasible[np.argmax((gain << 32) | feasible)])
+        return [(verts[a], verts[b]) for (a, b), bit in bits.items() if mask >> bit & 1]
 
     incidence = {v: 0 for v in verts}
     for a, b in demand_arcs:
@@ -427,17 +479,19 @@ def decoding_plan(code: LinearCode, problem: IndexCodingProblem) -> DecodingPlan
     wanted one; ties go to the lexicographically earliest column subset and
     smallest coefficients.  Codes with linearly independent columns (every
     designed code and every optimal-length code) are solved from one row
-    reduction; others fall back to the search, up to PLAN_SEARCH_LIMIT.
+    reduction; others fall back to the search while q^N is at most
+    2^PLAN_SEARCH_LIMIT.
     """
     if code.q != problem.q:
         raise ValidationError(f"code is over q={code.q} but problem is over q={problem.q}")
     if code.n != problem.n:
         raise ValidationError(f"code covers {code.n} messages but problem has {problem.n}")
     basis = ColumnBasis.of(code.n, code.q, code.columns)
-    if basis is None and code.length > PLAN_SEARCH_LIMIT:
+    if basis is None and code.q**code.length > 1 << PLAN_SEARCH_LIMIT:
+        longest = next(n for n in itertools.count() if code.q ** (n + 1) > 1 << PLAN_SEARCH_LIMIT)
         raise InfeasibleError(
             "decoding-plan search not attempted for codes with dependent columns "
-            f"longer than {PLAN_SEARCH_LIMIT}"
+            f"longer than {longest} over F_{code.q}"
         )
     entries = []
     for receiver, demand in problem.demands():

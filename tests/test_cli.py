@@ -6,16 +6,18 @@ import sys
 import pytest
 
 from conftest import FIXTURES, code_path, config_path, problem_path, random_square_problem_text
+from test_codegen import dependent_path_code
 from uniprior import cli, codegen, enumeration, graphcore
-from uniprior.codegen import design_min_max_code, parse_code
+from uniprior.codegen import design_min_max_code, parse_code, write_code
 from uniprior.graphcore import parse_problem
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "uniprior.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -105,6 +107,22 @@ def test_codegen_plans_a_300_receiver_problem(tmp_path, capsys):
     assert len(plan_lines) == 1 + len(parse_problem(doc).demands())
 
 
+def test_codegen_serves_a_30_receiver_bidirected_path_in_one_transmission(tmp_path, capsys):
+    # receiver i knows x_i and wants its neighbours' messages: the path tree
+    # keeps every demand on one coded symbol
+    m = 30
+    lines = ["q: 2", f"n: {m}", "receivers:"]
+    for i in range(1, m + 1):
+        wants = [j for j in (i - 1, i + 1) if 1 <= j <= m]
+        lines.append(f"  - {{id: {i}, wants: {wants}, knows: [{i}]}}")
+    doc = tmp_path / "bipath.yaml"
+    doc.write_text("\n".join(lines) + "\n")
+    assert cli.main(["codegen", "--problem", str(doc), "--out", str(tmp_path / "design")]) == 0
+    out = capsys.readouterr().out
+    assert f"code length: {m - 1}" in out
+    assert "max transmissions per demand: 1" in out
+
+
 def test_long_code_with_dependent_columns_is_not_searched(tmp_path):
     # 21 unit columns plus their sum: dependent and longer than the search bound
     n = codegen.PLAN_SEARCH_LIMIT + 1
@@ -119,6 +137,24 @@ def test_long_code_with_dependent_columns_is_not_searched(tmp_path):
     )
     assert result.returncode == 2
     assert "not attempted" in result.stderr
+    assert result.stdout == ""
+
+
+def test_ternary_dependent_code_past_its_column_bound_exits_at_once(tmp_path):
+    # Path code x_i - x_{i+1} over F_3 with its first column repeated: 13
+    # dependent columns, past F_3's bound of 12 (3^13 > 2^20).  A receiver
+    # knowing x_1 and wanting x_13 would keep the search running for minutes.
+    n = 13
+    matrix = tmp_path / "path.yaml"
+    write_code(dependent_path_code(3, n), matrix)
+    doc = tmp_path / "problem.yaml"
+    doc.write_text(f"q: 3\nn: {n}\nreceivers:\n  - {{id: 1, wants: [{n}], knows: [1]}}\n")
+    result = run_cli(
+        "simulate", "--problem", str(doc), "--code", f"matrix:{matrix}",
+        "--config", str(config_path("smoke")), timeout=60,
+    )
+    assert result.returncode == 2
+    assert "not attempted for codes with dependent columns longer than 12 over F_3" in result.stderr
     assert result.stdout == ""
 
 

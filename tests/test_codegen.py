@@ -1,9 +1,11 @@
+import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from conftest import code_path, problem_path, random_square_problem_text
+from conftest import FIXTURES, code_path, problem_path, random_square_problem_text
 from oracles import (
     FIVE_USER_TWO_STEP_COUNT_MULTISET,
     FOUR_USER_STRONG_COUNT_MULTISET,
@@ -16,6 +18,7 @@ from oracles import (
 )
 from test_acceptance import _random_instance
 from uniprior.codegen import (
+    EXHAUSTIVE_TREE_LIMIT,
     PLAN_SEARCH_LIMIT,
     LinearCode,
     _best_decode,
@@ -34,7 +37,14 @@ from uniprior.codegen import (
 from uniprior.enumeration import enumerate_optimal_codes, optimal_length
 from uniprior.errors import InfeasibleError, ValidationError
 from uniprior.fields import ColumnBasis, SpanBasis, unit_vector
-from uniprior.graphcore import parse_problem, parse_problem_text, problem_from_mapping
+from uniprior.graphcore import (
+    build_flow_graph,
+    parse_problem,
+    parse_problem_text,
+    problem_from_mapping,
+    prune,
+    reduce_to_square,
+)
 
 
 def support(vec):
@@ -45,20 +55,141 @@ def support(vec):
 # spanning-tree search
 
 
-@pytest.mark.parametrize("k, expected", [(2, 1), (3, 3), (4, 16), (5, 125)])
+@lru_cache(maxsize=None)
+def _distance_tables(k):
+    """All labeled trees on vertices 0..k-1, as parallel arrays.
+
+    Returns (lo, hi, codes, dist): lo/hi are (T, k-1) endpoint arrays with
+    lo < hi and edges sorted canonically within each tree; codes = lo * k + hi
+    for lexicographic comparison; dist is the (T, k, k) matrix of tree
+    distances.  Trees are decoded from all k^(k-2) sequences via the standard
+    smallest-leaf construction, vectorized across trees.
+    """
+    if k == 2:
+        seqs = np.zeros((1, 0), dtype=np.int64)
+    else:
+        seqs = np.indices((k,) * (k - 2)).reshape(k - 2, -1).T.copy()
+    t_count = seqs.shape[0]
+    rows = np.arange(t_count)
+
+    deg = np.ones((t_count, k), dtype=np.int16)
+    for v in range(k):
+        deg[:, v] += (seqs == v).sum(axis=1)
+    edges = np.empty((t_count, k - 1, 2), dtype=np.int16)
+    for step in range(k - 2):
+        joined = seqs[:, step]
+        leaf = np.argmax(deg == 1, axis=1)
+        edges[:, step, 0] = leaf
+        edges[:, step, 1] = joined
+        deg[rows, leaf] -= 1
+        deg[rows, joined] -= 1
+    first = np.argmax(deg == 1, axis=1)
+    deg[rows, first] = 0
+    second = np.argmax(deg == 1, axis=1)
+    edges[:, k - 2, 0] = first
+    edges[:, k - 2, 1] = second
+
+    lo = np.minimum(edges[:, :, 0], edges[:, :, 1])
+    hi = np.maximum(edges[:, :, 0], edges[:, :, 1])
+    codes = lo * k + hi
+    order = np.argsort(codes, axis=1)
+    codes = np.take_along_axis(codes, order, axis=1)
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+
+    dist = np.full((t_count, k, k), 4 * k, dtype=np.int16)
+    diag = np.arange(k)
+    dist[:, diag, diag] = 0
+    dist[rows[:, None], lo, hi] = 1
+    dist[rows[:, None], hi, lo] = 1
+    for mid in range(k):
+        np.minimum(dist, dist[:, :, mid, None] + dist[:, mid, None, :], out=dist)
+    return lo, hi, codes, dist
+
+
+def reference_min_max_tree(component_vertices, demand_arcs):
+    """min_max_spanning_tree up to EXHAUSTIVE_TREE_LIMIT vertices, as it once
+    scored every labeled tree from a table of tree distances."""
+    verts = sorted(set(component_vertices))
+    k = len(verts)
+    assert 1 <= k <= EXHAUSTIVE_TREE_LIMIT
+    if k == 1:
+        return []
+    index_of = {v: i for i, v in enumerate(verts)}
+    local = [(index_of[a], index_of[b]) for a, b in demand_arcs]
+    lo, hi, codes, dist = _distance_tables(k)
+    if local:
+        u = np.array([a for a, _ in local])
+        v = np.array([b for _, b in local])
+        arc_dist = dist.reshape(len(dist), k * k).take(u * k + v, axis=1)  # dist[:, u, v]
+        max_d = arc_dist.max(axis=1)
+        tot_d = arc_dist.sum(axis=1)
+    else:
+        max_d = np.zeros(codes.shape[0], dtype=np.int16)
+        tot_d = max_d
+    cand = np.flatnonzero(max_d == max_d.min())
+    cand = cand[tot_d[cand] == tot_d[cand].min()]
+    rows = codes[cand]
+    winner = int(cand[np.lexsort(rows[:, ::-1].T)[0]])
+    return sorted((verts[int(a)], verts[int(b)]) for a, b in zip(lo[winner], hi[winner]))
+
+
+def tree_distance_score(tree, demand_arcs):
+    """(max, total) tree distance over the demand arcs, by breadth-first search."""
+    adj = {}
+    for a, b in tree:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    dists = []
+    for source in sorted({a for a, _ in demand_arcs}):
+        dist, frontier = {source: 0}, [source]
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        reached.append(w)
+            frontier = reached
+        dists += [dist[b] for a, b in demand_arcs if a == source]
+    return max(dists, default=0), sum(dists)
+
+
+def mask_pairs(masks, k):
+    """Per pair (a, b) of 0..k-1 in ascending order, which masks hold its bit."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return {pair: (masks >> (len(pairs) - 1 - rank)) & 1 == 1 for rank, pair in enumerate(pairs)}
+
+
+@pytest.mark.parametrize(
+    "k, expected",
+    [(2, 1), (3, 3), (4, 16), (5, 125), (6, 1296), (7, 16807), (8, 262144)],
+)
 def test_tree_table_counts_match_cayley_formula(k, expected):
-    lo, hi, codes, dist = _tree_search_tables(k)
-    assert lo.shape[0] == expected
-    assert lo.shape[1] == k - 1
-    # every entry is a tree: distances finite and symmetric
-    assert dist.max() < 4 * k
-    assert (dist == dist.transpose(0, 2, 1)).all()
+    edges, squares = _tree_search_tables(k)
+    assert edges.shape == squares.shape == (expected,)
+    # every edge mask holds k - 1 pairs that connect all k vertices
+    hoods = np.tile(1 << np.arange(k), (expected, 1))  # closed neighbourhoods
+    edge_count = np.zeros(expected, dtype=np.int64)
+    for (a, b), has in mask_pairs(edges, k).items():
+        edge_count += has
+        hoods[:, a] |= has << b
+        hoods[:, b] |= has << a
+    assert (edge_count == k - 1).all()
+    reached = hoods[:, 0].copy()
+    for _ in range(k):
+        for v in range(k):
+            reached |= np.where((reached >> v) & 1 == 1, hoods[:, v], 0)
+    assert (reached == (1 << k) - 1).all()
+    # a pair is within distance 2 iff the closed neighbourhoods of its ends meet
+    for (a, b), has in mask_pairs(squares, k).items():
+        assert (has == ((hoods[:, a] & hoods[:, b]) != 0)).all()
 
 
 def test_tree_tables_have_no_duplicate_trees():
-    _, _, codes, _ = _tree_search_tables(4)
-    seen = {tuple(row) for row in codes}
-    assert len(seen) == codes.shape[0]
+    for k in range(2, EXHAUSTIVE_TREE_LIMIT + 1):
+        edges, _ = _tree_search_tables(k)
+        assert len(np.unique(edges)) == k ** (k - 2)
 
 
 def test_star_minimizes_when_all_pairs_are_demands():
@@ -92,6 +223,86 @@ def test_large_component_uses_demand_heavy_star_center():
 def test_spanning_tree_rejects_foreign_arcs():
     with pytest.raises(ValidationError, match="leaves the component"):
         min_max_spanning_tree([1, 2, 3], [(1, 7)])
+
+
+@pytest.mark.parametrize("k", [9, 30, 300])
+def test_bidirected_path_gets_the_path_at_any_size(k):
+    path = [(i, i + 1) for i in range(1, k)]
+    arcs = path + [(b, a) for a, b in path]
+    tree = min_max_spanning_tree(range(1, k + 1), arcs)
+    assert tree == path
+    assert tree_distance_score(tree, arcs) == (1, len(arcs))
+
+
+def test_bidirected_caterpillar_gets_its_own_support():
+    # spine 1-2-3-4-5, two legs on every spine vertex: 15 vertices
+    spine = [(i, i + 1) for i in range(1, 5)]
+    legs = [(s, leg) for s in range(1, 6) for leg in (4 + 2 * s, 5 + 2 * s)]
+    support = sorted(spine + legs)
+    arcs = support + [(b, a) for a, b in support]
+    tree = min_max_spanning_tree(range(1, 16), arcs)
+    assert tree == support
+    assert tree_distance_score(tree, arcs) == (1, len(arcs))
+
+
+def test_directed_nine_cycle_keeps_its_star():
+    # the support is a cycle, so no tree keeps every demand at distance 1
+    arcs = [(i, i % 9 + 1) for i in range(1, 10)]
+    tree = min_max_spanning_tree(range(1, 10), arcs)
+    assert tree == [(1, v) for v in range(2, 10)]
+    assert tree_distance_score(tree, arcs) == (2, 16)
+
+
+def random_digraph(rng, k):
+    """k vertices with spread-out labels; every ordered pair is an arc with
+    one probability drawn per digraph."""
+    verts = sorted(rng.sample(range(1, 4 * k), k))
+    density = rng.random()
+    return verts, [(a, b) for a in verts for b in verts if a != b and rng.random() < density]
+
+
+def assert_same_tree(vertices, arcs):
+    assert min_max_spanning_tree(vertices, arcs) == reference_min_max_tree(vertices, arcs), arcs
+
+
+def searched_components(problem):
+    """(vertices, demand arcs) of each component the designer searches."""
+    pruned = prune(build_flow_graph(reduce_to_square(problem).problem))
+    return [
+        (comp, sorted(pruned.component_arcs(idx)))
+        for idx, comp in enumerate(pruned.components)
+        if len(comp) <= EXHAUSTIVE_TREE_LIMIT
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((FIXTURES / "problems").glob("*.yaml")), ids=lambda p: p.stem)
+def test_tree_search_matches_distance_reference_on_fixtures(path):
+    for comp, arcs in searched_components(parse_problem(path)):
+        assert_same_tree(comp, arcs)
+
+
+def test_tree_search_matches_distance_reference_on_random_designed_problems():
+    rng = random.Random(987123)  # the 1000-instance acceptance test's first 200
+    for _ in range(200):
+        for comp, arcs in searched_components(_random_instance(rng)):
+            assert_same_tree(comp, arcs)
+
+
+def test_tree_search_matches_distance_reference_on_random_digraphs():
+    rng = random.Random(8128)
+    for count, k in ((2000, (2, 7)), (30, (8, 8))):
+        for _ in range(count):
+            assert_same_tree(*random_digraph(rng, rng.randint(*k)))
+
+
+def test_tree_search_is_never_worse_than_a_star():
+    rng = random.Random(496)
+    for _ in range(300):
+        verts, arcs = random_digraph(rng, rng.randint(2, 14))
+        score = tree_distance_score(min_max_spanning_tree(verts, arcs), arcs)
+        for c in verts:
+            star = [(min(c, v), max(c, v)) for v in verts if v != c]
+            assert score <= tree_distance_score(star, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +667,29 @@ def test_plans_match_search_with_several_known_messages():
             else:
                 assert_plan_matches_search(code, problem)
     assert 50 < refused < 550
+
+
+def dependent_path_code(q, length):
+    """x_i - x_{i+1} over F_q on `length` messages, with the first column repeated."""
+    path = [
+        tuple(1 if j == i else q - 1 if j == i + 1 else 0 for j in range(1, length + 1))
+        for i in range(1, length)
+    ]
+    return LinearCode(q=q, n=length, columns=tuple(path + path[:1]))
+
+
+@pytest.mark.parametrize("q, longest", [(2, 20), (3, 12)])
+def test_dependent_column_search_bound_is_per_field(q, longest):
+    for length in (longest, longest + 1):
+        code = dependent_path_code(q, length)
+        assert ColumnBasis.of(code.n, q, code.columns) is None
+        receiver = {"id": 1, "knows": [1], "wants": [2]}
+        problem = problem_from_mapping({"q": q, "n": length, "receivers": [receiver]})
+        if length == longest:
+            assert decoding_plan(code, problem).entry(1, 2).count == 1
+        else:
+            with pytest.raises(InfeasibleError, match=f"longer than {longest} over F_{q}$"):
+                decoding_plan(code, problem)
 
 
 def test_designed_300_receiver_code_gets_an_exact_plan():

@@ -3,20 +3,14 @@
 A receiver that recovers a message by adding c received symbols gets it wrong
 exactly when an odd number of those symbols were detected wrongly.  With
 independent per-symbol error probability p this has the closed form
-(1 - (1 - 2p)^c) / 2, cross-checked here against the direct odd-term binomial
-sum.
+(1 - (1 - 2p)^c) / 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .errors import ValidationError
-
-# binomial_oracle sums exact terms; beyond this the coefficients are huge and
-# the closed form should be used instead.
-BINOMIAL_EXACT_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -36,28 +30,6 @@ class ErrorParams:
 def message_error_prob(params: ErrorParams) -> float:
     """Probability that a sum of c symbols, each wrong with probability p, errs."""
     return (1.0 - (1.0 - 2.0 * params.p) ** params.c) / 2.0
-
-
-def binomial_oracle(params: ErrorParams) -> float:
-    """Direct odd-term binomial sum: P(odd number of the c symbols err)."""
-    if params.c > BINOMIAL_EXACT_LIMIT:
-        raise ValidationError(
-            f"binomial_oracle is limited to c <= {BINOMIAL_EXACT_LIMIT}, got {params.c}"
-        )
-    p = params.p
-    return sum(
-        comb(params.c, i) * p**i * (1.0 - p) ** (params.c - i)
-        for i in range(1, params.c + 1, 2)
-    )
-
-
-def error_increment(params: ErrorParams) -> float:
-    """Increase in message error when the count rises from c to c + 1.
-
-    Positive for 0 < p < 0.5, which is why fewer combined transmissions always
-    means a more reliable message in that regime.
-    """
-    return (1.0 - 2.0 * params.p) ** params.c * params.p
 
 
 def tabulate(p_values, c_values) -> str:

@@ -115,8 +115,7 @@ def cmd_enumerate(args) -> int:
     histogram = ", ".join(f"{k}:{v}" for k, v in sorted(result.histogram.items()))
     sys.stdout.write(f"{result.total} codes; max-count histogram {{{histogram}}}\n")
     if args.out:
-        Path(args.out).write_text(classification_to_csv(result))
-        print(f"wrote {args.out}", file=sys.stderr)
+        _emit(classification_to_csv(result), args.out)
     return 0
 
 

@@ -236,10 +236,6 @@ class LinearCode:
             return np.zeros((self.n, 0), dtype=np.int64)
         return np.array(self.columns, dtype=np.int64).T
 
-    def encode(self, messages) -> np.ndarray:
-        arr = np.asarray(messages, dtype=np.int64)
-        return arr @ self.matrix() % self.q
-
     def code_hash(self) -> str:
         payload = f"q={self.q};n={self.n};columns={[list(c) for c in self.columns]}"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -281,9 +277,9 @@ def build_index_code(
     """Assemble the code: tree-edge differences, then uncoded singletons.
 
     Tree edge {i, j} with i < j contributes the codeword e_i - e_j; a leftover
-    arc contributes its tail's unit vector; each direct message (known to
-    nobody) contributes its own unit vector.  Vertices are translated through
-    message_of_vertex when the problem was relabeled to square form.
+    arc contributes its tail's unit vector; each direct message (wanted, but
+    known to nobody) contributes its own unit vector.  Vertices are translated
+    through message_of_vertex when the problem was relabeled to square form.
     """
     v_count = pruned.residual.vertex_count
     if message_of_vertex is None:
@@ -391,22 +387,13 @@ class DecodingPlan:
     code: LinearCode
     entries: tuple[DemandPlan, ...]
 
-    def entry(self, receiver: int, demand: int) -> DemandPlan:
-        for e in self.entries:
-            if e.receiver == receiver and e.demand == demand:
-                return e
-        raise KeyError((receiver, demand))
-
 
 def _best_decode(code: LinearCode, receiver: int, demand: int, known: list[int]) -> DemandPlan:
     q, n = code.q, code.n
     target = unit_vector(n, demand)
-    basis = SpanBasis(n, q, [unit_vector(n, k) for k in known] + list(code.columns))
-    if not basis.contains(target):
-        raise InfeasibleError(
-            f"receiver {receiver} cannot recover message {demand} from this code"
-        )
     known_vecs = [unit_vector(n, k) for k in known]
+    if not SpanBasis(n, q, known_vecs + list(code.columns)).contains(target):
+        raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
     zero = (0,) * n
     for card in range(code.length + 1):
         for subset in itertools.combinations(range(code.length), card):
@@ -430,9 +417,7 @@ def _best_decode(code: LinearCode, receiver: int, demand: int, known: list[int])
                                 (t + 1, b) for t, b in zip(subset, betas)
                             ),
                         )
-    raise InfeasibleError(
-        f"receiver {receiver} cannot recover message {demand} from this code"
-    )
+    raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
 
 
 def _solved_decode(
@@ -459,9 +444,7 @@ def _solved_decode(
         if best is None or key < best[0]:
             best = (key, alphas, coords)
     if best is None:
-        raise InfeasibleError(
-            f"receiver {receiver} cannot recover message {demand} from this code"
-        )
+        raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
     _, alphas, coords = best
     return DemandPlan(
         receiver=receiver,

@@ -1,21 +1,23 @@
 """Exhaustive enumeration and classification of optimal-length linear codes.
 
-For small instances every unordered N-subset of distinct nonzero vectors of
-F_q^n (vectors taken up to nonzero scaling when q > 2) is tested for
-decodability: each receiver must be able to recover each wanted message from
-the span of the codewords and its own known messages.  The codes surviving
-that filter are exactly the optimal-length linear codes when N is minimal.
+A code's codewords are distinct nonzero vectors of F_q^n (taken up to nonzero
+scaling when q > 2).  Whether a code is decodable depends only on its span:
+each receiver must find every wanted unit vector, less some combination of
+its known unit vectors, inside it.  So the census walks the subspaces of
+F_q^n (in reduced row echelon form), tests each for decodability once, and
+then lists the N-subsets of candidate codewords that span a decodable one.
+When N is minimal these are exactly the optimal-length linear codes.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .codegen import LinearCode, codeword_label, decoding_plan, transmission_counts
 from .errors import InfeasibleError, ValidationError
-from .fields import SpanBasis, unit_vector
 from .graphcore import (
     IndexCodingProblem,
     PrunedGraph,
@@ -25,8 +27,8 @@ from .graphcore import (
     reduce_to_square,
 )
 
-# Subset enumeration must stay at or below C(63, N); beyond these the search
-# is refused rather than attempted.
+# Past these message counts the census is refused rather than attempted: the
+# six-user cycle over F_2 already has 83,328 optimal codes.
 ENUMERATION_MESSAGE_LIMIT = {2: 6, 3: 4}
 
 
@@ -47,52 +49,119 @@ def candidate_vectors(n: int, q: int) -> list[tuple[int, ...]]:
     For q > 2 a codeword and its nonzero multiples carry the same information,
     so only the representative whose first nonzero coordinate is 1 is kept.
     """
+    vectors = itertools.product(range(q), repeat=n)
+    return [v for v in vectors if any(v) and next(d for d in v if d) == 1]
+
+
+# Vectors of F_q^n are numbered in lexicographic order: v has the number
+# sum(v_i * q^(n - i)), so e_i has q^(n - i) and candidate order is number
+# order.  A set of vectors is an int with bit x set for each member x.
+
+
+@functools.lru_cache(maxsize=None)
+def _numbering(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """(plus, candidates): plus[x][y] is the number of vector x + vector y, and
+    candidates maps the number of each candidate codeword to the codeword."""
+    vectors = list(itertools.product(range(q), repeat=n))
+    number = {v: x for x, v in enumerate(vectors)}
+    sums = ([number[tuple((a + b) % q for a, b in zip(u, v))] for v in vectors] for u in vectors)
+    plus = tuple(map(tuple, sums))
+    return plus, {number[v]: v for v in candidate_vectors(n, q)}
+
+
+def _span(points: list[int], generators: Iterable[int], plus, q: int) -> list[int]:
+    """points + span(generators), each generator outside the span of those before."""
+    for g in generators:
+        multiples = [g] if q == 2 else [g, plus[g][g]]
+        points = [*points, *(plus[p][m] for m in multiples for p in points)]
+    return points
+
+
+@functools.lru_cache(maxsize=None)
+def _subspaces(n: int, q: int, dim: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every dim-dimensional subspace of F_q^n: (its vector set, the numbers of
+    the candidate codewords in it, ascending)."""
+    plus, candidates = _numbering(n, q)
     out = []
-    for digits in itertools.product(range(q), repeat=n):
-        if not any(digits):
-            continue
-        if next(d for d in digits if d) != 1:
-            continue
-        out.append(digits)
-    return out
+    for pivots in itertools.combinations(range(n), dim):
+        # reduced row echelon form: row r has a 1 at pivots[r], 0 at the other
+        # pivots and left of its own, and free entries elsewhere to its right
+        free = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, n) if c not in pivots]
+        for entries in itertools.product(range(q), repeat=len(free)):
+            rows = [q ** (n - 1 - p) for p in pivots]
+            for (r, c), x in zip(free, entries):
+                rows[r] += x * q ** (n - 1 - c)
+            points = _span([0], rows, plus, q)
+            members = tuple(sorted(x for x in points if x in candidates))
+            out.append((sum(1 << x for x in points), members))
+    return tuple(out)
 
 
-def _is_decodable(columns, problem: IndexCodingProblem) -> bool:
+def _demand_sets(problem: IndexCodingProblem, plus) -> list[int]:
+    """Per demand, the set e_d - span(e_k : k known to its receiver).  A span is
+    decodable iff it meets every set; smallest first, so failures come early."""
     n, q = problem.n, problem.q
-    for r in range(1, problem.m + 1):
-        wants = problem.want_sets[r - 1]
-        if not wants:
-            continue
-        vectors = list(columns) + [unit_vector(n, k) for k in problem.known_sets[r - 1]]
-        basis = SpanBasis(n, q, vectors)
-        for d in wants:
-            if not basis.contains(unit_vector(n, d)):
-                return False
-    return True
+    found = {
+        sum(1 << x for x in _span([q ** (n - d)], [q ** (n - k) for k in known], plus, q))
+        for wants, known in zip(problem.want_sets, problem.known_sets)
+        for d in wants
+    }
+    return sorted(found, key=int.bit_count)
+
+
+def _spanning_subsets(members: tuple[int, ...], dim: int, length: int, plus, q: int):
+    """length-subsets of members that span their dim-dimensional space, in lex
+    order: up to length - dim picks may lie in the span of the earlier ones."""
+
+    def extend(start, chosen, points, span, spare):
+        need = length - len(chosen)
+        for i in range(start, len(members) - need + 1):
+            x = members[i]
+            inside = span >> x & 1
+            if inside and not spare:
+                continue
+            if need == 1:
+                yield (*chosen, x)
+            elif inside:
+                yield from extend(i + 1, (*chosen, x), points, span, spare - 1)
+            else:
+                grown = _span(points, [x], plus, q)
+                yield from extend(i + 1, (*chosen, x), grown, sum(1 << y for y in grown), spare)
+
+    return extend(0, (), [0], 1, length - dim) if length else iter([()])
 
 
 def enumerate_optimal_codes(problem: IndexCodingProblem, length: int) -> Iterator[LinearCode]:
-    """Yield every decodable N-subset of candidate codewords, in lex order."""
+    """Yield every decodable length-subset of candidate codewords, in lex order.
+
+    Each subset spans one subspace, so the decodable subsets are the spanning
+    subsets of the decodable subspaces of dimension at most `length`; the
+    per-subspace lists are merged back into candidate order.
+    """
     _check_enumeration_bounds(problem)
     if length < 0:
         raise ValidationError(f"code length must be non-negative, got {length}")
-    candidates = candidate_vectors(problem.n, problem.q)
-    for combo in itertools.combinations(candidates, length):
-        if _is_decodable(combo, problem):
-            yield LinearCode(
-                q=problem.q,
-                n=problem.n,
-                columns=combo,
-                origins=("freeform",) * length,
-            )
+    n, q = problem.n, problem.q
+    plus, candidates = _numbering(n, q)
+    demand_sets = _demand_sets(problem, plus)
+    streams = [
+        _spanning_subsets(members, dim, length, plus, q)
+        for dim in range(min(length, n) + 1)
+        if (q**dim - 1) // (q - 1) >= length  # enough candidate codewords inside
+        for span, members in _subspaces(n, q, dim)
+        if all(span & wanted for wanted in demand_sets)
+    ]
+    for combo in heapq.merge(*streams):
+        columns = tuple(candidates[x] for x in combo)
+        yield LinearCode(q=q, n=n, columns=columns, origins=("freeform",) * length)
 
 
 def length_from_pruning(reduction: SquareReduction, pruned: PrunedGraph) -> int:
     """Closed-form optimal length of a uniprior problem.
 
     Over the pruned flow graph, each non-trivial component of size k needs
-    k - 1 coded symbols, and each leftover arc and each message known to
-    nobody needs one uncoded symbol.
+    k - 1 coded symbols, and each leftover arc and each wanted message known
+    to nobody needs one uncoded symbol.
     """
     return (
         sum(len(c) - 1 for c in pruned.components)
@@ -116,15 +185,15 @@ def optimal_length(problem: IndexCodingProblem) -> int:
 
 def brute_force_optimal_length(problem: IndexCodingProblem) -> int:
     """Smallest N with at least one decodable code (works for any problem)."""
-    _check_enumeration_bounds(problem)
     for length in range(problem.n + 1):
-        for _ in enumerate_optimal_codes(problem, length):
+        if next(enumerate_optimal_codes(problem, length), None) is not None:
             return length
     raise InfeasibleError("no decodable code found at any length up to n")
 
 
-@dataclass
-class CodeClassRow:
+# NamedTuples rather than dataclasses keep this module cheap to import: building
+# a dataclass compiles generated methods, and two of them took most of it.
+class CodeClassRow(NamedTuple):
     """One enumerated code with its per-demand transmission counts."""
 
     index: int
@@ -133,8 +202,7 @@ class CodeClassRow:
     max_count: int
 
 
-@dataclass
-class CodeClassification:
+class CodeClassification(NamedTuple):
     rows: list[CodeClassRow]
     histogram: dict[int, int]
 

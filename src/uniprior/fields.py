@@ -2,8 +2,8 @@
 
 Vectors are tuples of ints in [0, q).  The helpers favour clarity over
 asymptotics.  The two bases pack vectors into int bitmasks, since they sit
-inside the enumeration and decoding-plan hot loops: an F_2 vector is one
-bitmask, and ColumnBasis holds an F_3 vector as a pair of bitmasks.
+inside the decoding-plan hot loops: an F_2 vector is one bitmask, and
+ColumnBasis holds an F_3 vector as a pair of bitmasks.
 """
 
 from __future__ import annotations
@@ -13,20 +13,12 @@ from typing import Iterable, Sequence
 SUPPORTED_FIELD_ORDERS = (2, 3)
 
 
-def vec_mod(vec: Sequence[int], q: int) -> tuple[int, ...]:
-    return tuple(int(x) % q for x in vec)
-
-
 def vec_add(a: Sequence[int], b: Sequence[int], q: int) -> tuple[int, ...]:
     return tuple((x + y) % q for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(a: Sequence[int], s: int, q: int) -> tuple[int, ...]:
     return tuple((x * s) % q for x in a)
-
-
-def vec_is_zero(a: Sequence[int]) -> bool:
-    return all(x == 0 for x in a)
 
 
 def unit_vector(n: int, index: int) -> tuple[int, ...]:
@@ -43,10 +35,6 @@ def pack_bits(vec: Sequence[int]) -> int:
         if x & 1:
             mask |= 1 << i
     return mask
-
-
-def unpack_bits(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
 
 
 class SpanBasis:
@@ -70,14 +58,6 @@ class SpanBasis:
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def copy(self) -> "SpanBasis":
-        dup = SpanBasis(self.n, self.q)
-        if self.q == 2:
-            dup._rows = dict(self._rows)
-        else:
-            dup._rows = {p: list(row) for p, row in self._rows.items()}
-        return dup
 
     def _reduce2(self, mask: int) -> int:
         for pivot, row in self._rows.items():

@@ -178,16 +178,18 @@ def parse_problem(path: str | Path) -> IndexCodingProblem:
 def reduce_to_square(problem: IndexCodingProblem) -> SquareReduction:
     """Relabel a uniprior problem so receiver i knows message i (n = m).
 
-    Messages known to nobody become direct_messages; they are dropped from the
-    reduced want-sets (they can only be served by uncoded transmissions, which
-    the code builder appends from direct_messages).
+    Messages known to nobody but wanted by someone become direct_messages;
+    they are dropped from the reduced want-sets (they can only be served by
+    uncoded transmissions, which the code builder appends from
+    direct_messages).  Messages nobody knows or wants are not sent at all.
     """
     if not problem.is_uniprior:
         raise ValidationError("reduce_to_square requires a uniprior problem")
     owner = {}  # original message -> receiver knowing it
     for r in range(1, problem.m + 1):
         owner[problem.known_message(r)] = r
-    direct = frozenset(x for x in range(1, problem.n + 1) if x not in owner)
+    wanted = frozenset().union(*problem.want_sets)
+    direct = frozenset(x for x in range(1, problem.n + 1) if x not in owner and x in wanted)
     message_of_vertex = {r: k for k, r in owner.items()}
     vertex_of_message = {k: r for k, r in owner.items()}
 
@@ -216,15 +218,6 @@ def build_flow_graph(problem: IndexCodingProblem) -> InformationFlowGraph:
         if i != j and known[i] in problem.want_sets[j - 1]
     )
     return InformationFlowGraph(vertex_count=problem.m, arcs=arcs)
-
-
-def problem_from_graph(graph: InformationFlowGraph, q: int = 2) -> IndexCodingProblem:
-    """Inverse of build_flow_graph for identity-labeled problems."""
-    want_sets = tuple(
-        frozenset(i for (i, j) in graph.arcs if j == v) for v in range(1, graph.vertex_count + 1)
-    )
-    known_sets = tuple(frozenset({v}) for v in range(1, graph.vertex_count + 1))
-    return IndexCodingProblem(q=q, n=graph.vertex_count, want_sets=want_sets, known_sets=known_sets)
 
 
 def _adjacency(vertex_count: int, arcs) -> dict[int, list[int]]:

@@ -1,4 +1,4 @@
-"""Frozen expected values shared by the test suite.
+"""Frozen expected values and independent oracles shared by the test suite.
 
 Everything here was derived independently of the implementation: transmission
 counts follow from solving each fixed code's linear system by hand (for a code
@@ -6,6 +6,11 @@ whose tree codewords are linearly independent the minimal combination for each
 demand is unique, so the counts are forced), and the code censuses were
 cross-checked against small hand enumerations.  Keys are (receiver, demand).
 """
+
+from math import comb
+
+from uniprior.graphcore import IndexCodingProblem
+
 
 # ---------------------------------------------------------------------------
 # Nine-receiver skip problem (fixtures/problems/nine_user_skip.yaml):
@@ -114,3 +119,29 @@ FOUR_USER_STRONG_ARCS = frozenset([(2, 1), (4, 1), (3, 2), (1, 3), (2, 4), (3, 4
 
 # Five-receiver two-step problem (five_user_two_step.yaml): W_i = {i+1, i+2}.
 FIVE_USER_TWO_STEP_COUNT_MULTISET = (1, 1, 1, 1, 2, 2, 2, 2, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Independent formulas and builders used by several test modules.
+
+
+def binomial_oracle(p, c):
+    """Direct odd-term binomial sum: P(an odd number of c symbols err), each
+    symbol wrong independently with probability p."""
+    return sum(comb(c, i) * p**i * (1.0 - p) ** (c - i) for i in range(1, c + 1, 2))
+
+
+def error_increment(p, c):
+    """Increase in message error when the count rises from c to c + 1:
+    p * (1 - 2p)^c, positive for 0 < p < 0.5."""
+    return (1.0 - 2.0 * p) ** c * p
+
+
+def problem_from_graph(graph, q=2):
+    """Inverse of build_flow_graph: receiver v knows x_v and wants x_i for
+    each arc (i, v)."""
+    want_sets = tuple(
+        frozenset(i for (i, j) in graph.arcs if j == v) for v in range(1, graph.vertex_count + 1)
+    )
+    known_sets = tuple(frozenset({v}) for v in range(1, graph.vertex_count + 1))
+    return IndexCodingProblem(q=q, n=graph.vertex_count, want_sets=want_sets, known_sets=known_sets)

@@ -6,6 +6,7 @@ same Monte Carlo draws; tolerances are stated in binomial standard
 deviations of the measured quantity.
 """
 
+import itertools
 import math
 import random
 import subprocess
@@ -14,6 +15,7 @@ import time
 from collections import defaultdict
 
 import numpy as np
+import pytest
 
 from conftest import code_path, config_path, problem_path
 from oracles import (
@@ -27,13 +29,11 @@ from oracles import (
     NINE_USER_TREE_C_COUNTS,
     THREE_USER_CODES,
     THREE_USER_COUNTS,
-)
-from uniprior.analytic import (
-    ErrorParams,
     binomial_oracle,
     error_increment,
-    message_error_prob,
+    problem_from_graph,
 )
+from uniprior.analytic import ErrorParams, message_error_prob
 from uniprior.channelsim import parse_config, simulate_bep
 from uniprior.codegen import (
     LinearCode,
@@ -44,6 +44,7 @@ from uniprior.codegen import (
 )
 from uniprior.enumeration import enumerate_optimal_codes, classify_codes, optimal_length
 from uniprior.graphcore import (
+    InformationFlowGraph,
     build_flow_graph,
     parse_problem,
     problem_from_mapping,
@@ -260,12 +261,12 @@ def test_closed_form_error_matches_binomial_sum_and_increases_with_count():
         for c in range(1, 33):
             params = ErrorParams(p, c)
             value = message_error_prob(params)
-            assert abs(value - binomial_oracle(params)) <= 1e-12
+            assert abs(value - binomial_oracle(p, c)) <= 1e-12
             if previous is not None:
                 assert value >= previous
                 # strict growth wherever the mathematical increment is
                 # representable in float64 at all
-                if error_increment(ErrorParams(p, c - 1)) > 1e-15:
+                if error_increment(p, c - 1) > 1e-15:
                     assert value > previous
             previous = value
 
@@ -436,3 +437,43 @@ def test_csv_outputs_are_byte_identical_across_threads_and_reruns(tmp_path):
         return result.stdout
 
     assert enumerate_census() == enumerate_census()
+
+
+# ---------------------------------------------------------------- 9
+
+
+def digraph_classes(k):
+    """One arc set per isomorphism class of non-empty loopless digraphs on
+    vertices 1..k: the least sorted relabelling over all vertex permutations."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(1, k + 1) if i != j]
+    perms = list(itertools.permutations(range(k)))
+    classes = set()
+    for bits in range(1, 2 ** len(pairs)):
+        arcs = [pair for b, pair in enumerate(pairs) if bits >> b & 1]
+        classes.add(
+            min(tuple(sorted((perm[i - 1] + 1, perm[j - 1] + 1) for i, j in arcs)) for perm in perms)
+        )
+    return sorted(classes)
+
+
+def min_max_claim_mismatches(q, k, classes):
+    """Classes whose designed code is not census-optimal on (max count, total count)."""
+    mismatches = []
+    for arcs in classes:
+        problem = problem_from_graph(InformationFlowGraph(k, frozenset(arcs)), q)
+        code = design_min_max_code(problem).code
+        counts = transmission_counts(decoding_plan(code, problem)).values()
+        designed = (max(counts), sum(counts))
+        length = optimal_length(problem)
+        census = classify_codes(problem, enumerate_optimal_codes(problem, length))
+        best = min((row.max_count, sum(row.counts.values())) for row in census.rows)
+        if code.length != length or designed != best:
+            mismatches.append((arcs, designed, best))
+    return mismatches
+
+
+@pytest.mark.parametrize("q, k, count", [(2, 3, 15), (3, 3, 15), (2, 4, 217)])
+def test_designed_code_is_census_optimal_on_every_small_digraph(q, k, count):
+    classes = digraph_classes(k)
+    assert len(classes) == count
+    assert min_max_claim_mismatches(q, k, classes) == []

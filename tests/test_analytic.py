@@ -2,14 +2,8 @@ import math
 
 import pytest
 
-from uniprior.analytic import (
-    BINOMIAL_EXACT_LIMIT,
-    ErrorParams,
-    binomial_oracle,
-    error_increment,
-    message_error_prob,
-    tabulate,
-)
+from oracles import binomial_oracle, error_increment
+from uniprior.analytic import ErrorParams, message_error_prob, tabulate
 from uniprior.errors import ValidationError
 
 
@@ -33,7 +27,7 @@ def test_matches_odd_term_binomial_sum(c):
     for i in range(25):
         p = 0.01 + 0.02 * i
         closed = message_error_prob(ErrorParams(p, c))
-        direct = binomial_oracle(ErrorParams(p, c))
+        direct = binomial_oracle(p, c)
         assert closed == pytest.approx(direct, abs=1e-12)
 
 
@@ -58,15 +52,13 @@ def test_increment_identity(p, c):
     step = message_error_prob(ErrorParams(p, c + 1)) - message_error_prob(
         ErrorParams(p, c)
     )
-    assert error_increment(ErrorParams(p, c)) == pytest.approx(step, abs=1e-12)
-    assert error_increment(ErrorParams(p, c)) == pytest.approx(
-        (1 - 2 * p) ** c * p, abs=1e-15
-    )
+    assert error_increment(p, c) == pytest.approx(step, abs=1e-12)
+    assert error_increment(p, c) == pytest.approx((1 - 2 * p) ** c * p, abs=1e-15)
 
 
 def test_increment_shrinks_geometrically():
     p = 0.1
-    steps = [error_increment(ErrorParams(p, c)) for c in range(1, 20)]
+    steps = [error_increment(p, c) for c in range(1, 20)]
     ratios = [b / a for a, b in zip(steps, steps[1:])]
     assert all(math.isclose(r, 1 - 2 * p, abs_tol=1e-12) for r in ratios)
 
@@ -88,12 +80,6 @@ def test_parameter_validation(p, c, fragment):
 def test_boolean_chain_length_rejected():
     with pytest.raises(ValidationError, match="integer"):
         ErrorParams(0.1, True)
-
-
-def test_oracle_limit_enforced():
-    assert binomial_oracle(ErrorParams(0.3, BINOMIAL_EXACT_LIMIT)) <= 0.5
-    with pytest.raises(ValidationError, match="limited to"):
-        binomial_oracle(ErrorParams(0.3, BINOMIAL_EXACT_LIMIT + 1))
 
 
 def test_tabulate_layout():

@@ -1,9 +1,14 @@
+import itertools
+import random
+from math import comb
+
 import pytest
 
-from conftest import problem_path
-from oracles import FOUR_USER_CYCLE_TABLE, THREE_USER_CODES
+from conftest import FIXTURES, problem_path
+from oracles import FOUR_USER_CYCLE_TABLE, THREE_USER_CODES, problem_from_graph
 from uniprior.codegen import design_min_max_code
 from uniprior.enumeration import (
+    ENUMERATION_MESSAGE_LIMIT,
     brute_force_optimal_length,
     candidate_vectors,
     classification_to_csv,
@@ -12,7 +17,13 @@ from uniprior.enumeration import (
     optimal_length,
 )
 from uniprior.errors import InfeasibleError
-from uniprior.graphcore import parse_problem, parse_problem_text
+from uniprior.fields import SpanBasis, unit_vector
+from uniprior.graphcore import (
+    IndexCodingProblem,
+    InformationFlowGraph,
+    parse_problem,
+    parse_problem_text,
+)
 
 
 def support(vec):
@@ -69,6 +80,17 @@ def test_optimal_length_counts_direct_messages():
     )
     # one coded symbol for the 1<->2 swap plus message 3 sent uncoded
     assert optimal_length(problem) == 2
+
+
+def test_message_nobody_knows_or_wants_is_not_sent():
+    problem = parse_problem_text(
+        "q: 2\nn: 3\nreceivers:\n"
+        "  - {id: 1, wants: [2], knows: [1]}\n"
+        "  - {id: 2, wants: [1], knows: [2]}\n"
+    )
+    # x1 + x2 serves both receivers; x3 is neither known nor wanted
+    assert optimal_length(problem) == brute_force_optimal_length(problem) == 1
+    assert design_min_max_code(problem).code.columns == ((1, 1, 0),)
 
 
 def test_three_user_enumeration_is_exactly_the_known_codes():
@@ -161,3 +183,86 @@ def test_classification_csv_layout():
     assert len(lines) == 4
     assert lines[1].startswith("1,")
     assert "x1+x2" in "".join(lines)
+
+
+# ------------------------------------------- differential: subset scan
+
+
+def reference_enumerate(problem, length):
+    """The census as a scan of every length-subset of candidate codewords:
+    a subset is kept when, for each receiver, a row basis of the subset plus
+    its known unit vectors contains every wanted unit vector."""
+    n, q = problem.n, problem.q
+    units = [None] + [unit_vector(n, k) for k in range(1, n + 1)]
+    for combo in itertools.combinations(candidate_vectors(n, q), length):
+        if all(
+            all(basis.contains(units[d]) for d in wants)
+            for wants, known in zip(problem.want_sets, problem.known_sets)
+            if wants
+            for basis in [SpanBasis(n, q, list(combo) + [units[k] for k in known])]
+        ):
+            yield combo
+
+
+def assert_same_census(problem, length, subset_limit):
+    """Compare with the scan when it has at most subset_limit subsets to test
+    (about 20 us each); larger cases are compared outside tier-1 (CHANGES)."""
+    if length < 0 or comb(len(candidate_vectors(problem.n, problem.q)), length) > subset_limit:
+        return
+    got = [code.columns for code in enumerate_optimal_codes(problem, length)]
+    assert got == list(reference_enumerate(problem, length)), (problem, length)
+
+
+def random_problem(rng, q, n, uniprior):
+    """Receivers know 0-3 messages (one each, all distinct, when uniprior) and
+    want up to two others; some messages may be known to nobody."""
+    if uniprior:
+        knows = [frozenset({k}) for k in rng.sample(range(1, n + 1), rng.randint(1, n))]
+    else:
+        knows = [
+            frozenset(rng.sample(range(1, n + 1), rng.randint(0, min(3, n))))
+            for _ in range(rng.randint(1, n + 1))
+        ]
+    wants = []
+    for known in knows:
+        rest = [x for x in range(1, n + 1) if x not in known]
+        wants.append(frozenset(rng.sample(rest, rng.randint(0, min(2, len(rest))))))
+    return IndexCodingProblem(q=q, n=n, want_sets=tuple(wants), known_sets=tuple(knows))
+
+
+def census_fixtures():
+    for path in sorted((FIXTURES / "problems").glob("*.yaml")):
+        problem = parse_problem(path)
+        if problem.n <= ENUMERATION_MESSAGE_LIMIT[problem.q]:
+            yield pytest.param(problem, id=path.stem)
+
+
+NAMED_CENSUS_PROBLEMS = [
+    pytest.param(
+        problem_from_graph(InformationFlowGraph(5, frozenset({(1, 2), (2, 3), (3, 1), (4, 5), (5, 4)})), 2),
+        id="3-cycle+2-cycle",
+    ),
+    pytest.param(
+        problem_from_graph(InformationFlowGraph(4, frozenset({(1, 2), (2, 3), (3, 4), (4, 1)})), 3),
+        id="four-cycle-F3",
+    ),
+]
+
+
+@pytest.mark.parametrize("problem", [*census_fixtures(), *NAMED_CENSUS_PROBLEMS])
+def test_census_matches_subset_scan(problem):
+    opt = optimal_length(problem)
+    for length in (opt - 1, opt, opt + 1):
+        assert_same_census(problem, length, subset_limit=32_000)
+
+
+def test_census_matches_subset_scan_on_random_problems():
+    rng = random.Random(20261019)
+    for i in range(300):
+        q = 2 if i % 2 == 0 else 3
+        problem = random_problem(rng, q, rng.randint(1, 5 if q == 2 else 3), uniprior=i % 3 == 0)
+        opt = brute_force_optimal_length(problem)
+        if problem.is_uniprior:
+            assert optimal_length(problem) == opt, problem
+        for length in (opt - 1, opt, opt + 1):
+            assert_same_census(problem, length, subset_limit=5_000)

@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from conftest import FIXTURES, problem_path
-from oracles import FOUR_USER_STRONG_ARCS, NINE_USER_ARCS
+from oracles import FOUR_USER_STRONG_ARCS, NINE_USER_ARCS, problem_from_graph
 from uniprior import graphcore
 from uniprior.channelsim import parse_config_text
 from uniprior.codegen import parse_code_text
@@ -15,7 +15,6 @@ from uniprior.graphcore import (
     build_flow_graph,
     parse_problem,
     parse_problem_text,
-    problem_from_graph,
     prune,
     reduce_to_square,
     strongly_connected_components,

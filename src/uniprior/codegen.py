@@ -207,24 +207,22 @@ class LinearCode:
     q: int
     n: int
     columns: tuple[tuple[int, ...], ...]
-    origins: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.q not in SUPPORTED_FIELD_ORDERS:
             raise ValidationError(f"unsupported field order q={self.q}")
         if self.n < 1:
             raise ValidationError(f"message count must be positive, got {self.n}")
+        field = set(range(self.q))
         for col in self.columns:
             if len(col) != self.n:
                 raise ValidationError(
                     f"codeword length {len(col)} does not match message count {self.n}"
                 )
-            if any(not (0 <= e < self.q) for e in col):
+            if not field.issuperset(col):
                 raise ValidationError(f"codeword entries must lie in 0..{self.q - 1}: {col}")
             if not any(col):
                 raise ValidationError("zero codeword column is not allowed")
-        if self.origins and len(self.origins) != len(self.columns):
-            raise ValidationError("origins must parallel columns")
 
     @property
     def length(self) -> int:
@@ -296,22 +294,17 @@ def build_index_code(
         n = max(mentioned) if mentioned else v_count
 
     columns: list[tuple[int, ...]] = []
-    origins: list[str] = []
     for comp, tree in zip(pruned.components, trees):
         _check_spanning(comp, tree)
         for a, b in sorted(tree):
             i = message_of_vertex[a]
             j = message_of_vertex[b]
-            col = vec_add(unit_vector(n, i), vec_scale(unit_vector(n, j), q - 1, q), q)
-            columns.append(col)
-            origins.append(f"tree:{a}-{b}")
+            columns.append(vec_add(unit_vector(n, i), vec_scale(unit_vector(n, j), q - 1, q), q))
     for a, b in sorted(pruned.leftover_arcs):
         columns.append(unit_vector(n, message_of_vertex[a]))
-        origins.append(f"leftover:{a}")
     for msg in direct:
         columns.append(unit_vector(n, msg))
-        origins.append(f"direct:{msg}")
-    return LinearCode(q=q, n=n, columns=tuple(columns), origins=tuple(origins))
+    return LinearCode(q=q, n=n, columns=tuple(columns))
 
 
 @dataclass

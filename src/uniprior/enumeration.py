@@ -7,6 +7,8 @@ its known unit vectors, inside it.  So the census walks the subspaces of
 F_q^n (in reduced row echelon form), tests each for decodability once, and
 then lists the N-subsets of candidate codewords that span a decodable one.
 When N is minimal these are exactly the optimal-length linear codes.
+Classification reads each code's transmission counts off a weight table over
+F_q^n: the fewest columns that combine to each vector of the span.
 """
 
 from __future__ import annotations
@@ -59,14 +61,15 @@ def candidate_vectors(n: int, q: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _numbering(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
-    """(plus, candidates): plus[x][y] is the number of vector x + vector y, and
-    candidates maps the number of each candidate codeword to the codeword."""
+def _numbering(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict, dict]:
+    """(plus, candidates, number): plus[x][y] is the number of vector x +
+    vector y, candidates maps the number of each candidate codeword to the
+    codeword, and number maps every vector to its number."""
     vectors = list(itertools.product(range(q), repeat=n))
     number = {v: x for x, v in enumerate(vectors)}
     sums = ([number[tuple((a + b) % q for a, b in zip(u, v))] for v in vectors] for u in vectors)
     plus = tuple(map(tuple, sums))
-    return plus, {number[v]: v for v in candidate_vectors(n, q)}
+    return plus, {number[v]: v for v in candidate_vectors(n, q)}, number
 
 
 def _span(points: list[int], generators: Iterable[int], plus, q: int) -> list[int]:
@@ -81,7 +84,7 @@ def _span(points: list[int], generators: Iterable[int], plus, q: int) -> list[in
 def _subspaces(n: int, q: int, dim: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Every dim-dimensional subspace of F_q^n: (its vector set, the numbers of
     the candidate codewords in it, ascending)."""
-    plus, candidates = _numbering(n, q)
+    plus, candidates, _ = _numbering(n, q)
     out = []
     for pivots in itertools.combinations(range(n), dim):
         # reduced row echelon form: row r has a 1 at pivots[r], 0 at the other
@@ -97,16 +100,14 @@ def _subspaces(n: int, q: int, dim: int) -> tuple[tuple[int, tuple[int, ...]], .
     return tuple(out)
 
 
-def _demand_sets(problem: IndexCodingProblem, plus) -> list[int]:
-    """Per demand, the set e_d - span(e_k : k known to its receiver).  A span is
-    decodable iff it meets every set; smallest first, so failures come early."""
+def _demand_cosets(problem: IndexCodingProblem, plus) -> list[tuple[tuple[int, int], list[int]]]:
+    """Per (receiver, demand), in problem.demands() order, the vectors of
+    e_d - span(e_k : k known to the receiver): the targets a decoder may hit."""
     n, q = problem.n, problem.q
-    found = {
-        sum(1 << x for x in _span([q ** (n - d)], [q ** (n - k) for k in known], plus, q))
-        for wants, known in zip(problem.want_sets, problem.known_sets)
-        for d in wants
-    }
-    return sorted(found, key=int.bit_count)
+    return [
+        ((r, d), _span([q ** (n - d)], [q ** (n - k) for k in problem.known_sets[r - 1]], plus, q))
+        for r, d in problem.demands()
+    ]
 
 
 def _spanning_subsets(members: tuple[int, ...], dim: int, length: int, plus, q: int):
@@ -142,8 +143,11 @@ def enumerate_optimal_codes(problem: IndexCodingProblem, length: int) -> Iterato
     if length < 0:
         raise ValidationError(f"code length must be non-negative, got {length}")
     n, q = problem.n, problem.q
-    plus, candidates = _numbering(n, q)
-    demand_sets = _demand_sets(problem, plus)
+    plus, candidates, _ = _numbering(n, q)
+    # a span is decodable iff it meets every demand coset; smallest first, so
+    # failures come early
+    cosets = {sum(1 << x for x in targets) for _, targets in _demand_cosets(problem, plus)}
+    demand_sets = sorted(cosets, key=int.bit_count)
     streams = [
         _spanning_subsets(members, dim, length, plus, q)
         for dim in range(min(length, n) + 1)
@@ -153,7 +157,7 @@ def enumerate_optimal_codes(problem: IndexCodingProblem, length: int) -> Iterato
     ]
     for combo in heapq.merge(*streams):
         columns = tuple(candidates[x] for x in combo)
-        yield LinearCode(q=q, n=n, columns=columns, origins=("freeform",) * length)
+        yield LinearCode(q=q, n=n, columns=columns)
 
 
 def length_from_pruning(reduction: SquareReduction, pruned: PrunedGraph) -> int:
@@ -211,18 +215,63 @@ class CodeClassification(NamedTuple):
         return len(self.rows)
 
 
+def _weights(numbers: list[int], plus, q: int, blank: list[int]) -> list[int]:
+    """W[p]: the fewest columns that combine, with nonzero coefficients, to
+    vector p; blank's value for p outside their span.
+
+    Column by column, W_k[p] = min over a in F_q of W_{k-1}[p - a x_k] + [a != 0].
+    A column outside the span so far reaches each new point p + a x_k from
+    exactly one old point p; a column inside it only lowers W on the span.
+    """
+    table = blank[:]
+    table[0] = 0
+    span = [0]
+    for x in numbers:
+        rows = (plus[x],) if q == 2 else (plus[x], plus[plus[x][x]])
+        if table[x] == blank[0]:  # x lies outside the span so far
+            grown = []
+            for row in rows:
+                for p in span:
+                    table[row[p]] = table[p] + 1
+                grown += [row[p] for p in span]
+            span += grown
+        else:
+            old = table[:]
+            for row in rows:
+                for p in span:
+                    table[p] = min(table[p], old[row[p]] + 1)
+    return table
+
+
 def classify_codes(problem: IndexCodingProblem, codes: Iterable[LinearCode]) -> CodeClassification:
     """Group codes by their worst per-demand transmission count.
 
     Indexes are 1-based and follow the order codes are supplied in (for
-    enumerate_optimal_codes, the deterministic lexicographic order).
+    enumerate_optimal_codes, the deterministic lexicographic order).  A
+    demand's count is the least weight (see _weights) over its coset
+    e_d - span(e_k : k known), which is decoding_plan's count by definition;
+    codes on more messages than the census allows get a decoding_plan.
     """
+    n, q = problem.n, problem.q
+    tabled = n <= ENUMERATION_MESSAGE_LIMIT.get(q, 0)
+    if tabled:
+        plus, _, number = _numbering(n, q)
+        cosets = _demand_cosets(problem, plus)
+        blank = [n + 1] * q**n  # no count exceeds n
     rows: list[CodeClassRow] = []
     histogram: dict[int, int] = {}
     for index, code in enumerate(codes, start=1):
-        plan = decoding_plan(code, problem)
-        counts = transmission_counts(plan)
+        if tabled and (code.q, code.n) == (q, n):
+            table = _weights([number[c] for c in code.columns], plus, q, blank)
+            counts = {key: min([table[t] for t in targets]) for key, targets in cosets}
+        else:
+            counts = transmission_counts(decoding_plan(code, problem))
         max_count = max(counts.values(), default=0)
+        if max_count > n:  # a coset outside the table's span; decoding_plan raises itself
+            receiver, demand = next(key for key, count in counts.items() if count > n)
+            raise InfeasibleError(
+                f"receiver {receiver} cannot recover message {demand} from this code"
+            )
         rows.append(CodeClassRow(index=index, code=code, counts=counts, max_count=max_count))
         histogram[max_count] = histogram.get(max_count, 0) + 1
     return CodeClassification(rows=rows, histogram=dict(sorted(histogram.items())))
@@ -231,7 +280,8 @@ def classify_codes(problem: IndexCodingProblem, codes: Iterable[LinearCode]) -> 
 def classification_to_csv(result: CodeClassification) -> str:
     """Per-code table: index, space-joined codeword labels, max count."""
     lines = ["index,codewords,max_count"]
+    label = functools.lru_cache(maxsize=None)(codeword_label)  # codewords recur from row to row
     for row in result.rows:
-        labels = " ".join(codeword_label(c, row.code.q) for c in row.code.columns)
+        labels = " ".join(label(c, row.code.q) for c in row.code.columns)
         lines.append(f"{row.index},{labels},{row.max_count}")
     return "\n".join(lines) + "\n"

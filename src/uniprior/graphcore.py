@@ -227,12 +227,8 @@ def _adjacency(vertex_count: int, arcs) -> dict[int, list[int]]:
     return adj
 
 
-def strongly_connected_components(graph: InformationFlowGraph) -> list[frozenset[int]]:
-    """Maximal SCC partition, ordered by each component's smallest vertex."""
-    return _components(_adjacency(graph.vertex_count, graph.arcs))
-
-
 def _components(adj: dict[int, list[int]]) -> list[frozenset[int]]:
+    """Maximal SCC partition, ordered by each component's smallest vertex."""
     v_count = len(adj)
     radj: dict[int, list[int]] = {v: [] for v in adj}
     for i, heads in adj.items():

@@ -277,12 +277,7 @@ def test_closed_form_error_matches_binomial_sum_and_increases_with_count():
 def test_awgn_4psk_message_errors_match_combination_law_within_3_sigma():
     start = time.monotonic()
     config = parse_config(config_path("awgn_4psk_4db"))
-    chain_code = LinearCode(
-        q=2,
-        n=4,
-        columns=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)),
-        origins=("freeform",) * 3,
-    )
+    chain_code = LinearCode(q=2, n=4, columns=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)))
     cases = [
         ("four_user_cycle", chain_code),
         ("nine_user_skip", parse_code(code_path("nine_user_path"))),

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import shutil
 import subprocess
 import sys
@@ -448,6 +449,22 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("receivers: 4;")
+
+
+def test_import_builds_no_cached_table():
+    # Every table behind an lru_cache in codegen and enumeration is built on
+    # first use, so importing the command-line module is all start-up costs.
+    probe = (
+        "import json, uniprior.cli\n"
+        "from uniprior import codegen, enumeration\n"
+        "print(json.dumps({f'{m.__name__}.{k}': f.cache_info().currsize\n"
+        "    for m in (codegen, enumeration) for k, f in vars(m).items() if hasattr(f, 'cache_info')}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    sizes = json.loads(done.stdout)
+    lazy = {"codegen._pair_bits", "codegen._tree_search_tables", "enumeration._numbering", "enumeration._subspaces"}
+    assert {f"uniprior.{name}" for name in lazy} <= set(sizes)
+    assert sizes == dict.fromkeys(sizes, 0)
 
 
 def test_simulate_thread_count_is_invisible_in_output(tmp_path):

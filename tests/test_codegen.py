@@ -374,7 +374,9 @@ def test_design_handles_leftover_and_direct_messages():
     design = design_min_max_code(problem)
     labels = [codeword_label(c, 2) for c in design.code.columns]
     assert labels == ["x1+x2", "x3", "x4"]
-    assert design.code.origins == ("tree:1-2", "leftover:3", "direct:4")
+    assert design.trees == (((1, 2),),)
+    assert design.pruned.leftover_arcs == {(3, 1)}
+    assert design.reduction.direct_messages == {4}
     counts = transmission_counts(decoding_plan(design.code, problem))
     assert counts == {(1, 2): 1, (1, 3): 1, (2, 1): 1, (2, 4): 1}
 

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import FIXTURES, problem_path
 from oracles import FOUR_USER_CYCLE_TABLE, THREE_USER_CODES, problem_from_graph
-from uniprior.codegen import design_min_max_code
+from uniprior import enumeration
+from uniprior.codegen import LinearCode, decoding_plan, design_min_max_code, transmission_counts
 from uniprior.enumeration import (
     ENUMERATION_MESSAGE_LIMIT,
     brute_force_optimal_length,
@@ -16,7 +17,7 @@ from uniprior.enumeration import (
     enumerate_optimal_codes,
     optimal_length,
 )
-from uniprior.errors import InfeasibleError
+from uniprior.errors import InfeasibleError, ValidationError
 from uniprior.fields import SpanBasis, unit_vector
 from uniprior.graphcore import (
     IndexCodingProblem,
@@ -266,3 +267,99 @@ def test_census_matches_subset_scan_on_random_problems():
             assert optimal_length(problem) == opt, problem
         for length in (opt - 1, opt, opt + 1):
             assert_same_census(problem, length, subset_limit=5_000)
+
+
+# ------------------------------------------- differential: decoding plans
+
+
+def plan_rows(problem, codes):
+    """The reference: each code's counts and max count from its decoding plan."""
+    rows = []
+    for code in codes:
+        counts = transmission_counts(decoding_plan(code, problem))
+        rows.append((counts, max(counts.values(), default=0)))
+    return rows
+
+
+def table_rows(problem, codes):
+    return [(row.counts, row.max_count) for row in classify_codes(problem, codes).rows]
+
+
+@pytest.fixture
+def no_plans(monkeypatch):
+    """classify_codes must count from weight tables within the census bound."""
+
+    def refuse(code, problem):
+        raise AssertionError("classify_codes built a decoding plan")
+
+    monkeypatch.setattr(enumeration, "decoding_plan", refuse)
+
+
+@pytest.mark.parametrize("problem", [*census_fixtures(), *NAMED_CENSUS_PROBLEMS])
+def test_table_counts_match_plans(problem, no_plans):
+    # Every optimal code, then the codes one column longer, many of them with
+    # dependent columns; where those number more than 2,000 (five_user_cycle
+    # has 86,016), every k-th in lex order, as the plan search takes about
+    # 0.2 ms per code.
+    opt = optimal_length(problem)
+    codes = list(enumerate_optimal_codes(problem, opt))
+    assert table_rows(problem, codes) == plan_rows(problem, codes)
+    longer = list(enumerate_optimal_codes(problem, opt + 1))
+    longer = longer[:: 1 + len(longer) // 2000]
+    assert table_rows(problem, longer) == plan_rows(problem, longer)
+
+
+def test_table_counts_match_plans_on_random_problems(no_plans):
+    # Receivers that know several messages, or none, and longer codes with
+    # dependent columns over both fields.
+    rng = random.Random(20261020)
+    for i in range(200):
+        q = 2 if i % 2 == 0 else 3
+        problem = random_problem(rng, q, rng.randint(1, 4 if q == 2 else 3), uniprior=i % 3 == 0)
+        opt = brute_force_optimal_length(problem)
+        for length in (opt, opt + 1):
+            codes = list(itertools.islice(enumerate_optimal_codes(problem, length), 100))
+            assert table_rows(problem, codes) == plan_rows(problem, codes), (problem, length)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        ((0, 0, 1),),  # receiver 1 cannot get x2
+        ((1, 1, 0), (1, 1, 0)),  # dependent; receiver 1 gets x2 but not x3
+        ((1, 1, 0), (0, 0, 1)),  # receivers 1 and 2 decode; receiver 3 cannot get x1
+        (),
+    ],
+)
+def test_undecodable_code_raises_the_plan_refusal(columns, no_plans):
+    problem = parse_problem(problem_path("three_user"))
+    code = LinearCode(q=2, n=3, columns=columns)
+    with pytest.raises(InfeasibleError) as by_plan:
+        decoding_plan(code, problem)
+    with pytest.raises(InfeasibleError) as by_table:
+        classify_codes(problem, [design_min_max_code(problem).code, code])
+    assert str(by_table.value) == str(by_plan.value)
+
+
+def test_codes_over_other_fields_or_lengths_are_refused_as_plans_refuse_them():
+    problem = parse_problem(problem_path("three_user"))
+    with pytest.raises(ValidationError, match="code is over q=3"):
+        classify_codes(problem, [LinearCode(q=3, n=3, columns=((1, 1, 0),))])
+    with pytest.raises(ValidationError, match="code covers 4 messages"):
+        classify_codes(problem, [LinearCode(q=2, n=4, columns=((1, 1, 0, 0),))])
+
+
+@pytest.mark.parametrize("name", ["seven_user_complete", "seven_user_complete_f3"])
+def test_codes_above_the_census_bound_get_decoding_plans(name, monkeypatch):
+    problem = parse_problem(problem_path(name))
+    assert problem.n > ENUMERATION_MESSAGE_LIMIT[problem.q]
+    codes = [design_min_max_code(problem).code]
+    planned = []
+
+    def spy(code, problem):
+        planned.append(code)
+        return decoding_plan(code, problem)
+
+    monkeypatch.setattr(enumeration, "decoding_plan", spy)
+    assert table_rows(problem, codes) == plan_rows(problem, codes)
+    assert planned == codes

@@ -17,8 +17,12 @@ from uniprior.graphcore import (
     parse_problem_text,
     prune,
     reduce_to_square,
-    strongly_connected_components,
 )
+
+
+def strongly_connected_components(graph: InformationFlowGraph) -> list[frozenset[int]]:
+    """Maximal SCC partition, ordered by each component's smallest vertex."""
+    return graphcore._components(graphcore._adjacency(graph.vertex_count, graph.arcs))
 
 
 def test_parse_valid_problem():

@@ -13,6 +13,7 @@ results are byte-identical regardless of thread count or schedule.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -213,17 +214,22 @@ def _draw_fading(rng: np.random.Generator, count: int, config: ChannelConfig) ->
     """One coefficient per frame.  Draw order is part of the RNG contract."""
     if config.fading == "none":
         return np.ones(count, dtype=np.complex128)
-    z = rng.standard_normal((count, 2))
-    scattered = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    scattered = _complex_normal(rng, (count,))
     if config.fading == "rayleigh":
         return scattered
     k = config.rician_k
     return math.sqrt(k / (k + 1.0)) + math.sqrt(1.0 / (k + 1.0)) * scattered
 
 
-def _draw_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit-variance circular complex normals, read in place from (re, im) pairs.
+
+    Numpy divides a complex array by a real scalar by multiplying by its
+    reciprocal, so this scaling gives the quotient's values bit for bit.
+    """
     z = rng.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    z *= 1.0 / math.sqrt(2.0)
+    return z.view(np.complex128)[..., 0]
 
 
 def _detect_indices(y: np.ndarray, h: np.ndarray, config: ChannelConfig) -> np.ndarray:
@@ -269,7 +275,7 @@ def transmit_and_detect(
         arr = arr[None, :]
     frames, points = arr.shape
     h = _draw_fading(rng, frames, config)
-    noise = _draw_noise(rng, (frames, points))
+    noise = _complex_normal(rng, (frames, points))
     y = h[:, None] * arr + noise
     idx = _detect_indices(y, h, config)
     if n_transmissions is None:
@@ -326,6 +332,12 @@ def _run_block(
     return errors, raw_errors
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_bep(
     problem: IndexCodingProblem,
     code: LinearCode,
@@ -367,9 +379,10 @@ def simulate_bep(
         snr_idx, block_idx, size = task
         return task, _run_block(problem, code, grouped, config, snr_idx, block_idx, size)
 
-    results = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # pool.map submits every task at once: more workers would only idle.
+    workers = min(threads, len(tasks), _available_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, tasks))
     else:
         results = [run(t) for t in tasks]

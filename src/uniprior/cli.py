@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p_sim.add_argument("--seed", type=int, default=None, help="override config seed")
     p_sim.add_argument("--trials", type=int, default=None, help="override config trials")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_sim.add_argument("--threads", type=int, default=1, help="worker threads (at most one per available CPU)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analytic", help="closed-form error table as CSV")

@@ -297,9 +297,10 @@ def build_index_code(
     for comp, tree in zip(pruned.components, trees):
         _check_spanning(comp, tree)
         for a, b in sorted(tree):
-            i = message_of_vertex[a]
-            j = message_of_vertex[b]
-            columns.append(vec_add(unit_vector(n, i), vec_scale(unit_vector(n, j), q - 1, q), q))
+            col = [0] * n
+            col[message_of_vertex[a] - 1] = 1
+            col[message_of_vertex[b] - 1] = q - 1
+            columns.append(tuple(col))
     for a, b in sorted(pruned.leftover_arcs):
         columns.append(unit_vector(n, message_of_vertex[a]))
     for msg in direct:

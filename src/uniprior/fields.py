@@ -25,7 +25,9 @@ def unit_vector(n: int, index: int) -> tuple[int, ...]:
     """Standard basis vector with a 1 at 1-based position `index`."""
     if not 1 <= index <= n:
         raise ValueError(f"unit vector index {index} out of range 1..{n}")
-    return tuple(1 if i == index - 1 else 0 for i in range(n))
+    vec = [0] * n
+    vec[index - 1] = 1
+    return tuple(vec)
 
 
 def pack_bits(vec: Sequence[int]) -> int:

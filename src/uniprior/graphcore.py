@@ -210,67 +210,63 @@ def build_flow_graph(problem: IndexCodingProblem) -> InformationFlowGraph:
         raise ValidationError(
             "information flow graph requires n = m; call reduce_to_square first"
         )
-    known = {r: problem.known_message(r) for r in range(1, problem.m + 1)}
+    owner = {problem.known_message(r): r for r in range(1, problem.m + 1)}
     arcs = frozenset(
-        (i, j)
-        for j in range(1, problem.m + 1)
-        for i in range(1, problem.m + 1)
-        if i != j and known[i] in problem.want_sets[j - 1]
+        (owner[x], j) for j, wants in enumerate(problem.want_sets, start=1) for x in wants if owner[x] != j
     )
     return InformationFlowGraph(vertex_count=problem.m, arcs=arcs)
 
 
-def _adjacency(vertex_count: int, arcs) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in range(1, vertex_count + 1)}
+def _adjacency(vertex_count: int, arcs) -> list[list[int]]:
+    """Heads of each vertex's arcs in ascending order, indexed by vertex (entry 0 unused)."""
+    adj: list[list[int]] = [[] for _ in range(vertex_count + 1)]
     for i, j in sorted(arcs):
         adj[i].append(j)
     return adj
 
 
-def _components(adj: dict[int, list[int]]) -> list[frozenset[int]]:
-    """Maximal SCC partition, ordered by each component's smallest vertex."""
-    v_count = len(adj)
-    radj: dict[int, list[int]] = {v: [] for v in adj}
-    for i, heads in adj.items():
-        for j in heads:
-            radj[j].append(i)
+def _label_components(adj: list[list[int]], members, label: list[int], fresh: int) -> int:
+    """Tarjan's search over `members`, which all carry the same label.
 
-    # Kosaraju: first pass records finish order with an iterative DFS.
-    visited: set[int] = set()
-    order: list[int] = []
-    for start in range(1, v_count + 1):
-        if start in visited:
+    Arcs to vertices with another label are ignored.  Each strongly connected
+    component found gets its own label, counting up from `fresh`; returns the
+    next unused label.  A visited vertex keeps the old label exactly while it
+    is on Tarjan's stack.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    for root in members:
+        if root in index:
             continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        visited.add(start)
-        while stack:
-            v, idx = stack.pop()
-            if idx < len(adj[v]):
-                stack.append((v, idx + 1))
-                w = adj[v][idx]
-                if w not in visited:
-                    visited.add(w)
-                    stack.append((w, 0))
+        old = label[root]  # every unvisited member still carries the label
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, heads = work[-1]
+            for w in heads:
+                if label[w] != old:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
             else:
-                order.append(v)
-
-    assigned: set[int] = set()
-    components: list[frozenset[int]] = []
-    for root in reversed(order):
-        if root in assigned:
-            continue
-        members = [root]
-        assigned.add(root)
-        stack2 = [root]
-        while stack2:
-            v = stack2.pop()
-            for w in radj[v]:
-                if w not in assigned:
-                    assigned.add(w)
-                    members.append(w)
-                    stack2.append(w)
-        components.append(frozenset(members))
-    return sorted(components, key=min)
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = fresh
+                        if w == v:
+                            break
+                    fresh += 1
+    return fresh
 
 
 def prune(graph: InformationFlowGraph) -> PrunedGraph:
@@ -279,31 +275,39 @@ def prune(graph: InformationFlowGraph) -> PrunedGraph:
     While some vertex has more than one outgoing arc and at least one outgoing
     arc (i, j) lying on no cycle, all outgoing arcs of i except (i, j) are
     removed.  An arc lies on no cycle iff its endpoints are in different
-    SCCs, so each round labels the SCCs once.  Deterministic choice: vertices
-    scanned in ascending order, and among off-cycle arcs the smallest head is
-    kept.
-    """
-    adj = _adjacency(graph.vertex_count, graph.arcs)
-    pruned_some = True
-    while pruned_some:
-        components = _components(adj)
-        label = {v: c for c, comp in enumerate(components) for v in comp}
-        pruned_some = False
-        for i, heads in adj.items():
-            if len(heads) <= 1:
-                continue
-            off_cycle = [j for j in heads if label[j] != label[i]]
-            if off_cycle:
-                adj[i] = off_cycle[:1]
-                pruned_some = True
-                break
+    SCCs.  Deterministic choice: vertices scanned in ascending order, and
+    among off-cycle arcs the smallest head is kept.
 
-    arcs = frozenset((i, j) for i, heads in adj.items() for j in heads)
-    residual = InformationFlowGraph(vertex_count=graph.vertex_count, arcs=arcs)
-    non_trivial = tuple(c for c in components if len(c) >= 2)
+    The SCCs are labelled once.  A cut that drops only off-cycle arcs leaves
+    them as they are, and the scan goes on at i + 1.  A cut that drops an arc
+    on a cycle can split only i's component C: C alone is relabelled, and the
+    scan resumes at min(C), since no vertex outside C sees a head's label
+    change from or to its own.
+    """
+    v_count = graph.vertex_count
+    adj = _adjacency(v_count, graph.arcs)
+    label = [0] * (v_count + 1)
+    fresh = _label_components(adj, range(1, v_count + 1), label, 1)
+    i = 1
+    while i <= v_count:
+        heads, own = adj[i], label[i]
+        keep = len(heads) > 1 and next((j for j in heads if label[j] != own), 0)
+        if keep:
+            adj[i] = [keep]
+            if any(label[j] == own for j in heads):
+                members = [v for v in range(1, v_count + 1) if label[v] == own]
+                fresh = _label_components(adj, members, label, fresh)
+                i = members[0]
+                continue
+        i += 1
+
+    classes: dict[int, list[int]] = {}
+    for v in range(1, v_count + 1):
+        classes.setdefault(label[v], []).append(v)
+    arcs = frozenset((i, j) for i in range(1, v_count + 1) for j in adj[i])
+    residual = InformationFlowGraph(vertex_count=v_count, arcs=arcs)
+    non_trivial = tuple(frozenset(c) for c in classes.values() if len(c) >= 2)
     # Leftover: every arc not inside a non-trivial SCC (a self-loop on a
     # singleton SCC included).
-    leftover = frozenset(
-        (i, j) for i, j in arcs if label[i] != label[j] or len(components[label[i]]) < 2
-    )
+    leftover = frozenset((i, j) for i, j in arcs if label[i] != label[j] or len(classes[label[i]]) < 2)
     return PrunedGraph(residual=residual, components=non_trivial, leftover_arcs=leftover)

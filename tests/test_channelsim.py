@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import code_path, config_path, problem_path
+from uniprior import channelsim
 from uniprior.channelsim import (
     BLOCK_TRIALS,
     DEFAULT_SEED,
@@ -317,6 +318,36 @@ def test_thread_count_does_not_change_results(four_cycle):
     serial = simulate_bep(problem, code, plan, config, threads=1)
     threaded = simulate_bep(problem, code, plan, config, threads=4)
     assert serial == threaded
+
+
+class InlineExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, [6]), (4, [4]), (1, [])])
+def test_worker_threads_are_capped_at_cpus_and_tasks(four_cycle, monkeypatch, cpus, expected):
+    problem, code, plan = four_cycle
+    config = cfg(snr_points_db=(2.0, 8.0), trials=BLOCK_TRIALS * 2 + 100)  # 6 tasks
+    serial = simulate_bep(problem, code, plan, config, threads=1)
+    monkeypatch.setattr(channelsim, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(channelsim, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(InlineExecutor, "created", [])
+    assert simulate_bep(problem, code, plan, config, threads=100000) == serial
+    assert InlineExecutor.created == expected
 
 
 def test_return_raw_counts_transmission_errors(four_cycle):

@@ -10,6 +10,7 @@ from uniprior.channelsim import parse_config_text
 from uniprior.codegen import parse_code_text
 from uniprior.errors import ValidationError
 from uniprior.graphcore import (
+    IndexCodingProblem,
     InformationFlowGraph,
     PrunedGraph,
     build_flow_graph,
@@ -20,9 +21,62 @@ from uniprior.graphcore import (
 )
 
 
+def _adjacency(vertex_count, arcs) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {v: [] for v in range(1, vertex_count + 1)}
+    for i, j in sorted(arcs):
+        adj[i].append(j)
+    return adj
+
+
+def _kosaraju_components(adj: dict[int, list[int]]) -> list[frozenset[int]]:
+    """Maximal SCC partition by Kosaraju's two passes, ordered by smallest vertex."""
+    radj: dict[int, list[int]] = {v: [] for v in adj}
+    for i, heads in adj.items():
+        for j in heads:
+            radj[j].append(i)
+
+    # First pass: finish order, by an iterative DFS.
+    visited: set[int] = set()
+    order: list[int] = []
+    for start in adj:
+        if start in visited:
+            continue
+        stack: list[tuple[int, int]] = [(start, 0)]
+        visited.add(start)
+        while stack:
+            v, idx = stack.pop()
+            if idx < len(adj[v]):
+                stack.append((v, idx + 1))
+                w = adj[v][idx]
+                if w not in visited:
+                    visited.add(w)
+                    stack.append((w, 0))
+            else:
+                order.append(v)
+
+    # Second pass: on the reverse graph, in reverse finish order.
+    assigned: set[int] = set()
+    components: list[frozenset[int]] = []
+    for root in reversed(order):
+        if root in assigned:
+            continue
+        members = [root]
+        assigned.add(root)
+        stack2 = [root]
+        while stack2:
+            v = stack2.pop()
+            for w in radj[v]:
+                if w not in assigned:
+                    assigned.add(w)
+                    members.append(w)
+                    stack2.append(w)
+        components.append(frozenset(members))
+    return sorted(components, key=min)
+
+
 def strongly_connected_components(graph: InformationFlowGraph) -> list[frozenset[int]]:
     """Maximal SCC partition, ordered by each component's smallest vertex."""
-    return graphcore._components(graphcore._adjacency(graph.vertex_count, graph.arcs))
+    return _kosaraju_components(_adjacency(graph.vertex_count, graph.arcs))
 
 
 def test_parse_valid_problem():
@@ -308,3 +362,119 @@ def test_prune_matches_reachability_reference_on_random_digraphs():
             if rng.random() < density
         )
         _assert_same_pruning(InformationFlowGraph(vertex_count=v_count, arcs=arcs))
+
+
+# ---------------------------------------------------------------- prune vs. round-by-round relabelling
+
+
+def reference_rounds_prune(graph):
+    """Pruning that labels every SCC afresh after each cut and rescans from vertex 1."""
+    adj = _adjacency(graph.vertex_count, graph.arcs)
+    pruned_some = True
+    while pruned_some:
+        components = _kosaraju_components(adj)
+        label = {v: c for c, comp in enumerate(components) for v in comp}
+        pruned_some = False
+        for i, heads in adj.items():
+            if len(heads) <= 1:
+                continue
+            off_cycle = [j for j in heads if label[j] != label[i]]
+            if off_cycle:
+                adj[i] = off_cycle[:1]
+                pruned_some = True
+                break
+
+    arcs = frozenset((i, j) for i, heads in adj.items() for j in heads)
+    residual = InformationFlowGraph(vertex_count=graph.vertex_count, arcs=arcs)
+    non_trivial = tuple(c for c in components if len(c) >= 2)
+    leftover = frozenset(
+        (i, j) for i, j in arcs if label[i] != label[j] or len(components[label[i]]) < 2
+    )
+    return PrunedGraph(residual=residual, components=non_trivial, leftover_arcs=leftover)
+
+
+def _random_digraph(rng, v_count, rate, self_loops=False):
+    arcs = frozenset(
+        (i, j)
+        for i in range(1, v_count + 1)
+        for j in range(1, v_count + 1)
+        if (self_loops or i != j) and rng.random() < rate
+    )
+    return InformationFlowGraph(vertex_count=v_count, arcs=arcs)
+
+
+def _assert_same_as_rounds(graph):
+    fast, slow = prune(graph), reference_rounds_prune(graph)
+    assert fast.residual.arcs == slow.residual.arcs
+    assert fast.components == slow.components
+    assert fast.leftover_arcs == slow.leftover_arcs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prune_matches_rounds_reference_on_dense_sized_digraphs(seed):
+    # The design_dense shapes: sparse graphs (mean out-degree 3) need many
+    # rounds, half of them cutting an arc on a cycle; rate 0.1 needs one.
+    rng = random.Random(seed)
+    v_count = rng.randint(100, 300)
+    _assert_same_as_rounds(_random_digraph(rng, v_count, 3 / v_count))
+    _assert_same_as_rounds(_random_digraph(rng, v_count, 0.1))
+
+
+def test_prune_matches_rounds_reference_on_small_digraphs_with_self_loops():
+    rng = random.Random(7219)
+    for _ in range(600):
+        _assert_same_as_rounds(_random_digraph(rng, rng.randint(1, 14), rng.random(), self_loops=True))
+
+
+def test_label_components_matches_kosaraju_on_vertex_subsets():
+    rng = random.Random(515)
+    for _ in range(300):
+        graph = _random_digraph(rng, rng.randint(1, 16), rng.random() * 0.4, self_loops=True)
+        members = sorted(rng.sample(range(1, graph.vertex_count + 1), rng.randint(1, graph.vertex_count)))
+        label = [0] * (graph.vertex_count + 1)
+        for v in members:
+            label[v] = 5
+        adj = graphcore._adjacency(graph.vertex_count, graph.arcs)
+        fresh = graphcore._label_components(adj, members, label, 6)
+        inside = frozenset((i, j) for i, j in graph.arcs if i in members and j in members)
+        restricted = InformationFlowGraph(vertex_count=graph.vertex_count, arcs=inside)
+        expected = [c for c in strongly_connected_components(restricted) if min(c) in members]
+        classes = {}
+        for v in members:
+            classes.setdefault(label[v], set()).add(v)
+        assert sorted(map(frozenset, classes.values()), key=min) == expected
+        assert set(classes) == set(range(6, fresh))
+        assert all(label[v] == 0 for v in range(1, graph.vertex_count + 1) if v not in members)
+
+
+def reference_flow_graph(problem):
+    """Arc (i, j) by testing every ordered receiver pair."""
+    return frozenset(
+        (i, j)
+        for j in range(1, problem.m + 1)
+        for i in range(1, problem.m + 1)
+        if i != j and problem.known_message(i) in problem.want_sets[j - 1]
+    )
+
+
+def test_flow_graph_matches_pairwise_reference_with_direct_and_unused_messages():
+    rng = random.Random(88)
+    seen_direct = seen_unused = 0
+    for _ in range(200):
+        n = rng.randint(2, 30)
+        m = rng.randint(1, n)
+        owned = rng.sample(range(1, n + 1), m)
+        receivers = [
+            (frozenset(x for x in range(1, n + 1) if x != k and rng.random() < 0.3), frozenset({k}))
+            for k in owned
+        ]
+        problem = IndexCodingProblem(
+            q=2, n=n, want_sets=tuple(w for w, _ in receivers), known_sets=tuple(k for _, k in receivers)
+        )
+        reduction = reduce_to_square(problem)
+        seen_direct += bool(reduction.direct_messages)
+        seen_unused += len(reduction.direct_messages) + m < n
+        graph = build_flow_graph(reduction.problem)
+        assert graph.vertex_count == m
+        assert graph.arcs == reference_flow_graph(reduction.problem)
+    assert seen_direct and seen_unused

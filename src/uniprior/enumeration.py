@@ -8,15 +8,20 @@ F_q^n (in reduced row echelon form), tests each for decodability once, and
 then lists the N-subsets of candidate codewords that span a decodable one.
 When N is minimal these are exactly the optimal-length linear codes.
 Classification reads each code's transmission counts off a weight table over
-F_q^n: the fewest columns that combine to each vector of the span.
+F_q^n: the fewest columns that combine to each vector of the span.  numpy
+builds the tables a block of same-length codes at a time, from the subset
+sums of their columns.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .codegen import LinearCode, codeword_label, decoding_plan, transmission_counts
 from .errors import InfeasibleError, ValidationError
@@ -215,31 +220,72 @@ class CodeClassification(NamedTuple):
         return len(self.rows)
 
 
-def _weights(numbers: list[int], plus, q: int, blank: list[int]) -> list[int]:
-    """W[p]: the fewest columns that combine, with nonzero coefficients, to
-    vector p; blank's value for p outside their span.
+# Entries per row of a block's arrays, times its codes, stay under this: about
+# 1,000 codes of the six-user cycle (q^n = 64) and under a megabyte of arrays,
+# which is where larger blocks stopped paying for numpy's per-call overhead.
+BLOCK_ENTRIES = 1 << 16
 
-    Column by column, W_k[p] = min over a in F_q of W_{k-1}[p - a x_k] + [a != 0].
-    A column outside the span so far reaches each new point p + a x_k from
-    exactly one old point p; a column inside it only lowers W on the span.
+
+@functools.lru_cache(maxsize=None)
+def _plus_array(n: int, q: int) -> np.ndarray:
+    """_numbering's plus table as a flat array: x + y has the number at x * q^n + y."""
+    plus = np.array(_numbering(n, q)[0], dtype=np.intp).ravel()
+    plus.flags.writeable = False  # shared by every caller
+    return plus
+
+
+@functools.lru_cache(maxsize=None)
+def _sum_levels(q: int, m: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """(order, levels) for the q^m subset sums _weight_tables lists over m
+    columns.  Sum j takes column k with the coefficient of j's base-q digit
+    k, so its weight is j's count of nonzero digits; order lists the sums
+    heaviest first, and order[lo:hi] are those of weight w for each (w, lo, hi)."""
+    weight = np.zeros(1, dtype=np.int8)
+    for _ in range(m):
+        weight = np.concatenate([weight] + [weight + 1] * (q - 1))
+    ends = np.cumsum(np.bincount(weight)[::-1]).tolist()
+    order = np.argsort(-weight, kind="stable")
+    order.flags.writeable = False  # shared by every caller
+    return order, tuple(zip(range(m, -1, -1), [0, *ends], ends))
+
+
+def _weight_tables(numbers: np.ndarray, n: int, q: int) -> np.ndarray:
+    """W[k, p]: the fewest columns of code k that combine, with nonzero
+    coefficients, to vector p of F_q^n; n + 1 for p outside their span.
+
+    numbers is (K, N): code k's column vector numbers.  The first n columns
+    list every subset sum by doubling (the sums so far, then those plus a x
+    for each nonzero a), and the table takes the sums' weights level by
+    level, heaviest first, so the least wins.  Columns past n would list
+    more sums than there are vectors, so they take
+    W[p] = min over a of W[p - a x] + [a != 0] instead.
     """
-    table = blank[:]
-    table[0] = 0
-    span = [0]
-    for x in numbers:
-        rows = (plus[x],) if q == 2 else (plus[x], plus[plus[x][x]])
-        if table[x] == blank[0]:  # x lies outside the span so far
-            grown = []
-            for row in rows:
-                for p in span:
-                    table[row[p]] = table[p] + 1
-                grown += [row[p] for p in span]
-            span += grown
-        else:
-            old = table[:]
-            for row in rows:
-                for p in span:
-                    table[p] = min(table[p], old[row[p]] + 1)
+    size = q**n
+    plus = _plus_array(n, q)
+    codes, length = numbers.shape
+    doubled = min(length, n)
+
+    def multiples(x):  # a x for each nonzero a of F_q, ascending
+        return [x] if q == 2 else [x, plus.take(x * size + x)]
+
+    sums = np.zeros((q**doubled, codes), dtype=np.intp)  # one column per code
+    listed = 1
+    for x in numbers[:, :doubled].T:
+        for a, ax in enumerate(multiples(x), start=1):
+            sums[a * listed : (a + 1) * listed] = plus.take(sums[:listed] * size + ax)
+        listed *= q
+    order, levels = _sum_levels(q, doubled)
+    cells = sums[order] + np.arange(0, codes * size, size)  # into the flat table
+    table = np.full(codes * size, n + 1, dtype=np.int8)
+    for w, lo, hi in levels:
+        table[cells[lo:hi]] = w
+    table = table.reshape(codes, size)
+    for x in numbers[:, doubled:].T:
+        # in place: over F_3 the 2x step also sees W[p + 3x] + 2 = W[p] + 2,
+        # which never wins
+        for ax in multiples(x):
+            shifted = plus.reshape(size, size)[ax]  # row k: p + a x_k for every p
+            np.minimum(table, np.take_along_axis(table, shifted, axis=1) + 1, out=table)
     return table
 
 
@@ -247,33 +293,48 @@ def classify_codes(problem: IndexCodingProblem, codes: Iterable[LinearCode]) -> 
     """Group codes by their worst per-demand transmission count.
 
     Indexes are 1-based and follow the order codes are supplied in (for
-    enumerate_optimal_codes, the deterministic lexicographic order).  A
-    demand's count is the least weight (see _weights) over its coset
-    e_d - span(e_k : k known), which is decoding_plan's count by definition;
-    codes on more messages than the census allows get a decoding_plan.
+    enumerate_optimal_codes, the deterministic lexicographic order).  Within
+    the census bound, runs of codes of one length over the problem's (q, n)
+    are classified a block at a time: one weight table per code (see
+    _weight_tables), and a demand's count is the table's least entry over
+    its coset e_d - span(e_k : k known), which is decoding_plan's count by
+    definition.  Other codes, and every code of a problem on more messages
+    than the census allows, get a decoding_plan.  An undecodable code raises
+    decoding_plan's InfeasibleError before any later code is planned.
     """
     n, q = problem.n, problem.q
     tabled = n <= ENUMERATION_MESSAGE_LIMIT.get(q, 0)
     if tabled:
         plus, _, number = _numbering(n, q)
         cosets = _demand_cosets(problem, plus)
-        blank = [n + 1] * q**n  # no count exceeds n
+        keys = [key for key, _ in cosets]
+        targets = np.array([t for _, members in cosets for t in members], dtype=np.intp)
+        starts = np.cumsum([0] + [len(members) for _, members in cosets[:-1]])
+        block_size = max(1, BLOCK_ENTRIES // max(q**n, len(targets)))
+
+    def block_of(code):  # the length of the codes it is tabled with; None: planned
+        return len(code.columns) if tabled and (code.q, code.n) == (q, n) else None
+
     rows: list[CodeClassRow] = []
-    histogram: dict[int, int] = {}
-    for index, code in enumerate(codes, start=1):
-        if tabled and (code.q, code.n) == (q, n):
-            table = _weights([number[c] for c in code.columns], plus, q, blank)
-            counts = {key: min([table[t] for t in targets]) for key, targets in cosets}
-        else:
-            counts = transmission_counts(decoding_plan(code, problem))
-        max_count = max(counts.values(), default=0)
-        if max_count > n:  # a coset outside the table's span; decoding_plan raises itself
-            receiver, demand = next(key for key, count in counts.items() if count > n)
-            raise InfeasibleError(
-                f"receiver {receiver} cannot recover message {demand} from this code"
-            )
-        rows.append(CodeClassRow(index=index, code=code, counts=counts, max_count=max_count))
-        histogram[max_count] = histogram.get(max_count, 0) + 1
+    for length, run in itertools.groupby(codes, block_of):
+        if length is None:
+            for code in run:
+                counts = transmission_counts(decoding_plan(code, problem))
+                rows.append(CodeClassRow(len(rows) + 1, code, counts, max(counts.values(), default=0)))
+            continue
+        while block := list(itertools.islice(run, block_size)):
+            columns = itertools.chain.from_iterable(code.columns for code in block)
+            numbers = np.fromiter(map(number.__getitem__, columns), dtype=np.intp)
+            table = _weight_tables(numbers.reshape(len(block), length), n, q)
+            counts = np.minimum.reduceat(table[:, targets], starts, axis=1) if keys else table[:, :0]
+            worst = counts.max(axis=1, initial=0)
+            undecodable = np.flatnonzero(worst > n)  # a coset outside the code's span
+            if len(undecodable):
+                receiver, demand = keys[counts[undecodable[0]].tolist().index(n + 1)]
+                raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
+            by_demand = map(dict, map(zip, itertools.repeat(keys), counts.tolist()))
+            rows += map(CodeClassRow, itertools.count(len(rows) + 1), block, by_demand, worst.tolist())
+    histogram = collections.Counter(row.max_count for row in rows)
     return CodeClassification(rows=rows, histogram=dict(sorted(histogram.items())))
 
 

@@ -462,7 +462,14 @@ def test_import_builds_no_cached_table():
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     sizes = json.loads(done.stdout)
-    lazy = {"codegen._pair_bits", "codegen._tree_search_tables", "enumeration._numbering", "enumeration._subspaces"}
+    lazy = {
+        "codegen._pair_bits",
+        "codegen._tree_search_tables",
+        "enumeration._numbering",
+        "enumeration._plus_array",
+        "enumeration._subspaces",
+        "enumeration._sum_levels",
+    }
     assert {f"uniprior.{name}" for name in lazy} <= set(sizes)
     assert sizes == dict.fromkeys(sizes, 0)
 

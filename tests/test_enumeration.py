@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -238,15 +239,14 @@ def census_fixtures():
             yield pytest.param(problem, id=path.stem)
 
 
+FOUR_CYCLE_F3 = problem_from_graph(InformationFlowGraph(4, frozenset({(1, 2), (2, 3), (3, 4), (4, 1)})), 3)
+
 NAMED_CENSUS_PROBLEMS = [
     pytest.param(
         problem_from_graph(InformationFlowGraph(5, frozenset({(1, 2), (2, 3), (3, 1), (4, 5), (5, 4)})), 2),
         id="3-cycle+2-cycle",
     ),
-    pytest.param(
-        problem_from_graph(InformationFlowGraph(4, frozenset({(1, 2), (2, 3), (3, 4), (4, 1)})), 3),
-        id="four-cycle-F3",
-    ),
+    pytest.param(FOUR_CYCLE_F3, id="four-cycle-F3"),
 ]
 
 
@@ -272,17 +272,70 @@ def test_census_matches_subset_scan_on_random_problems():
 # ------------------------------------------- differential: decoding plans
 
 
+def reference_weights(numbers, plus, q, blank):
+    """W[p]: the fewest columns that combine, with nonzero coefficients, to
+    vector p; blank's value for p outside their span.
+
+    Column by column, W_k[p] = min over a in F_q of W_{k-1}[p - a x_k] + [a != 0].
+    A column outside the span so far reaches each new point p + a x_k from
+    exactly one old point p; a column inside it only lowers W on the span.
+    """
+    table = blank[:]
+    table[0] = 0
+    span = [0]
+    for x in numbers:
+        rows = (plus[x],) if q == 2 else (plus[x], plus[plus[x][x]])
+        if table[x] == blank[0]:  # x lies outside the span so far
+            grown = []
+            for row in rows:
+                for p in span:
+                    table[row[p]] = table[p] + 1
+                grown += [row[p] for p in span]
+            span += grown
+        else:
+            old = table[:]
+            for row in rows:
+                for p in span:
+                    table[p] = min(table[p], old[row[p]] + 1)
+    return table
+
+
+def weight_rows(problem, codes):
+    """A reference: each code's counts and max count from a walk of its
+    columns, one code at a time (reference_weights)."""
+    n, q = problem.n, problem.q
+    plus, _, number = enumeration._numbering(n, q)
+    cosets = enumeration._demand_cosets(problem, plus)
+    blank = [n + 1] * q**n
+    rows = []
+    for code in codes:
+        table = reference_weights([number[c] for c in code.columns], plus, q, blank)
+        counts = [(key, min(table[t] for t in targets)) for key, targets in cosets]
+        rows.append((counts, max((c for _, c in counts), default=0)))
+    return rows
+
+
 def plan_rows(problem, codes):
-    """The reference: each code's counts and max count from its decoding plan."""
+    """A reference: each code's counts and max count from its decoding plan."""
     rows = []
     for code in codes:
         counts = transmission_counts(decoding_plan(code, problem))
-        rows.append((counts, max(counts.values(), default=0)))
+        rows.append((list(counts.items()), max(counts.values(), default=0)))
     return rows
 
 
 def table_rows(problem, codes):
-    return [(row.counts, row.max_count) for row in classify_codes(problem, codes).rows]
+    """classify_codes' rows as (counts in key order, max count), after
+    checking that the rows keep the codes, their order and 1-based indexes."""
+    result = classify_codes(problem, codes)
+    assert [(row.index, row.code) for row in result.rows] == list(enumerate(codes, start=1))
+    assert list(result.histogram.items()) == sorted(Counter(row.max_count for row in result.rows).items())
+    return [(list(row.counts.items()), row.max_count) for row in result.rows]
+
+
+def block_size(problem):
+    """An upper bound on the codes in one block of classify_codes."""
+    return enumeration.BLOCK_ENTRIES // problem.q**problem.n
 
 
 @pytest.fixture
@@ -295,18 +348,22 @@ def no_plans(monkeypatch):
     monkeypatch.setattr(enumeration, "decoding_plan", refuse)
 
 
+def every_kth(codes, most):
+    return codes[:: 1 + len(codes) // most]
+
+
 @pytest.mark.parametrize("problem", [*census_fixtures(), *NAMED_CENSUS_PROBLEMS])
 def test_table_counts_match_plans(problem, no_plans):
-    # Every optimal code, then the codes one column longer, many of them with
-    # dependent columns; where those number more than 2,000 (five_user_cycle
-    # has 86,016), every k-th in lex order, as the plan search takes about
-    # 0.2 ms per code.
+    # Every optimal code, then the codes one column longer, many of them
+    # with dependent columns.  Where there are more than 20,000 (five_user_cycle
+    # has 86,016), every k-th in lex order, still several blocks; against
+    # plans, which take about 0.2 ms per code, more than 2,000.
     opt = optimal_length(problem)
-    codes = list(enumerate_optimal_codes(problem, opt))
-    assert table_rows(problem, codes) == plan_rows(problem, codes)
-    longer = list(enumerate_optimal_codes(problem, opt + 1))
-    longer = longer[:: 1 + len(longer) // 2000]
-    assert table_rows(problem, longer) == plan_rows(problem, longer)
+    for length in (opt, opt + 1):
+        codes = every_kth(list(enumerate_optimal_codes(problem, length)), 20_000)
+        assert table_rows(problem, codes) == weight_rows(problem, codes)
+        sample = every_kth(codes, 2000)
+        assert table_rows(problem, sample) == plan_rows(problem, sample)
 
 
 def test_table_counts_match_plans_on_random_problems(no_plans):
@@ -322,6 +379,97 @@ def test_table_counts_match_plans_on_random_problems(no_plans):
             assert table_rows(problem, codes) == plan_rows(problem, codes), (problem, length)
 
 
+def test_codes_longer_than_n_match_references(no_plans):
+    # Past n columns the tables switch from subset sums to the column
+    # recurrence.  five_user_cycle at opt + 2 (N = 6 > n = 5): its first
+    # codes in lex order, and optimal codes with one more column appended
+    # (a superset of a decodable code is decodable), repeats included.
+    problem = parse_problem(problem_path("five_user_cycle"))
+    opt = optimal_length(problem)
+    codes = list(itertools.islice(enumerate_optimal_codes(problem, opt + 2), 1500))
+    rng = random.Random(20261021)
+    vectors = list(itertools.product(range(2), repeat=5))[1:]
+    for code in every_kth(list(enumerate_optimal_codes(problem, opt + 1)), 1500):
+        extra = rng.choice([*vectors, *code.columns])
+        codes.append(LinearCode(q=2, n=5, columns=(*code.columns, extra)))
+    assert len({len(code.columns) for code in codes}) == 1
+    assert table_rows(problem, codes) == weight_rows(problem, codes)
+    sample = every_kth(codes, 300)
+    assert table_rows(problem, sample) == plan_rows(problem, sample)
+    # three_user at length 6 (n = 3): every decodable 6-subset
+    three = parse_problem(problem_path("three_user"))
+    longest = list(enumerate_optimal_codes(three, 6))
+    assert longest
+    assert table_rows(three, longest) == weight_rows(three, longest) == plan_rows(three, longest)
+
+
+@pytest.mark.parametrize("problem", [*census_fixtures(), *NAMED_CENSUS_PROBLEMS])
+def test_random_codes_with_repeats_and_multiples_match_references(problem, no_plans):
+    # Columns drawn with replacement from every nonzero vector (over F_3 not
+    # only the scaled-to-1 ones), at every length up to n + 2.  Decodable
+    # codes are classified as one stream; each undecodable one raises the
+    # plan's refusal.
+    n, q = problem.n, problem.q
+    rng = random.Random(20261022)
+    vectors = list(itertools.product(range(q), repeat=n))[1:]
+    decodable = []
+    for length in range(n + 3):
+        for _ in range(30):
+            code = LinearCode(q=q, n=n, columns=tuple(rng.choices(vectors, k=length)))
+            try:
+                plan_rows(problem, [code])
+            except InfeasibleError as refusal:
+                with pytest.raises(InfeasibleError) as by_table:
+                    classify_codes(problem, [code])
+                assert str(by_table.value) == str(refusal)
+            else:
+                decodable.append(code)
+    assert len({len(code.columns) for code in decodable}) > 1
+    assert table_rows(problem, decodable) == weight_rows(problem, decodable) == plan_rows(problem, decodable)
+
+
+def test_hand_made_codes_with_repeats_multiples_and_no_columns(no_plans):
+    three = parse_problem(problem_path("three_user"))
+    repeated = [
+        LinearCode(q=2, n=3, columns=((1, 1, 0), (0, 1, 1), (1, 1, 0))),
+        LinearCode(q=2, n=3, columns=((0, 1, 1), (0, 1, 1), (1, 1, 0), (1, 1, 0))),
+    ]
+    assert table_rows(three, repeated) == weight_rows(three, repeated) == plan_rows(three, repeated)
+    cycle = FOUR_CYCLE_F3
+    multiples = [
+        LinearCode(q=3, n=4, columns=((1, 1, 0, 0), (2, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))),
+        LinearCode(q=3, n=4, columns=((1, 2, 0, 0), (0, 2, 1, 0), (2, 1, 0, 0), (0, 0, 2, 1), (1, 0, 0, 2))),
+    ]
+    assert table_rows(cycle, multiples) == weight_rows(cycle, multiples) == plan_rows(cycle, multiples)
+    # a problem with no demands: the empty code serves it, with no counts
+    idle = parse_problem_text("q: 2\nn: 2\nreceivers:\n  - {id: 1, wants: [], knows: [1]}\n")
+    empty = [LinearCode(q=2, n=2, columns=())] * 3
+    assert table_rows(idle, empty) == plan_rows(idle, empty) == [([], 0)] * 3
+
+
+def test_stream_that_mixes_lengths(no_plans):
+    # A block holds codes of one length, so every change of length starts one.
+    problem = parse_problem(problem_path("four_user_cycle"))
+    by_length = [list(enumerate_optimal_codes(problem, length)) for length in (3, 4, 5)]
+    codes = [code for group in itertools.zip_longest(*by_length) for code in group if code]
+    codes += by_length[0][:5] + by_length[2][:1] + by_length[0][5:7]
+    assert table_rows(problem, codes) == weight_rows(problem, codes)
+    sample = every_kth(codes, 300)
+    assert table_rows(problem, sample) == plan_rows(problem, sample)
+
+
+@pytest.mark.parametrize("entries", [1, 200, None])
+def test_stream_longer_than_one_block(entries, monkeypatch, no_plans):
+    # The F_3 four-cycle's 1,872 optimal codes: more than one block at the
+    # default size, and one or two codes per block at the smaller ones.
+    problem = FOUR_CYCLE_F3
+    if entries is not None:
+        monkeypatch.setattr(enumeration, "BLOCK_ENTRIES", entries)
+    codes = list(enumerate_optimal_codes(problem, optimal_length(problem)))
+    assert len(codes) > block_size(problem)
+    assert table_rows(problem, codes) == weight_rows(problem, codes)
+
+
 @pytest.mark.parametrize(
     "columns",
     [
@@ -331,14 +479,28 @@ def test_table_counts_match_plans_on_random_problems(no_plans):
         (),
     ],
 )
-def test_undecodable_code_raises_the_plan_refusal(columns, no_plans):
+def test_undecodable_code_raises_the_plan_refusal(columns, monkeypatch):
+    # The undecodable code comes after more than a full block of decodable
+    # ones and before a code over F_3, which decoding_plan would refuse with
+    # a ValidationError; the refusal must come first and no plan be built.
     problem = parse_problem(problem_path("three_user"))
     code = LinearCode(q=2, n=3, columns=columns)
     with pytest.raises(InfeasibleError) as by_plan:
         decoding_plan(code, problem)
+    planned = []
+
+    def spy(code, problem):
+        planned.append(code)
+        return decoding_plan(code, problem)
+
+    monkeypatch.setattr(enumeration, "decoding_plan", spy)
+    designed = design_min_max_code(problem).code
+    other_field = LinearCode(q=3, n=3, columns=((1, 1, 0),))
+    stream = [designed] * (block_size(problem) + 1) + [code, other_field]
     with pytest.raises(InfeasibleError) as by_table:
-        classify_codes(problem, [design_min_max_code(problem).code, code])
+        classify_codes(problem, stream)
     assert str(by_table.value) == str(by_plan.value)
+    assert planned == []
 
 
 def test_codes_over_other_fields_or_lengths_are_refused_as_plans_refuse_them():

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +61,19 @@ class ChannelConfig:
         if self.fading not in _FADING_KINDS:
             raise ValidationError(f"fading must be one of {_FADING_KINDS}, got {self.fading!r}")
         if self.fading == "rician":
-            if self.rician_k is None or not self.rician_k > 0:
-                raise ValidationError("rician fading requires rician_k > 0")
+            if self.rician_k is None or not 0 < self.rician_k < math.inf:
+                raise ValidationError("rician fading requires a finite rician_k > 0")
         elif self.rician_k is not None:
             raise ValidationError(f"rician_k only applies to rician fading, got {self.fading!r}")
         if not self.snr_points_db:
             raise ValidationError("snr_db must list at least one SNR point")
+        for snr in self.snr_points_db:
+            try:
+                finite = math.isfinite(snr) and math.isfinite(10.0 ** (snr / 10.0))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValidationError(f"snr_db {snr} is not finite or 10^(snr/10) overflows")
         if self.trials < 1:
             raise ValidationError(f"trials must be at least 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -91,6 +100,16 @@ class BepRecord:
     bep: float
 
 
+def _as_float(value, rule: str) -> float:
+    """A YAML number as a float; integers too large for one become +-inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{rule}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def config_from_mapping(data) -> ChannelConfig:
     if not isinstance(data, dict):
         raise ValidationError("config document must be a mapping")
@@ -106,29 +125,19 @@ def config_from_mapping(data) -> ChannelConfig:
     snr = data["snr_db"]
     if not isinstance(snr, list) or not snr:
         raise ValidationError("snr_db must be a non-empty list of dB values")
-    points = []
-    for value in snr:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"snr_db entries must be numbers, got {value!r}")
-        points.append(float(value))
-
+    points = [_as_float(value, "snr_db entries must be numbers") for value in snr]
     rician_k = data.get("rician_k")
     if rician_k is not None:
-        if isinstance(rician_k, bool) or not isinstance(rician_k, (int, float)):
-            raise ValidationError(f"rician_k must be a number, got {rician_k!r}")
-        rician_k = float(rician_k)
+        rician_k = _as_float(rician_k, "rician_k must be a number")
 
-    mapping = data["mapping"]
-    if not isinstance(mapping, str):
-        raise ValidationError("mapping must be a string")
-    fading = data["fading"]
-    if not isinstance(fading, str):
-        raise ValidationError("fading must be a string")
+    for field in ("mapping", "fading"):
+        if not isinstance(data[field], str):
+            raise ValidationError(f"{field} must be a string")
 
     return ChannelConfig(
         modulation=_as_int(data["modulation"], "modulation"),
-        mapping=mapping,
-        fading=fading,
+        mapping=data["mapping"],
+        fading=data["fading"],
         snr_points_db=tuple(points),
         trials=_as_int(data["trials"], "trials"),
         seed=_as_int(data.get("seed", DEFAULT_SEED), "seed"),
@@ -168,46 +177,32 @@ def _gray_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return gray, inverse
 
 
-def _unit_constellation(config: ChannelConfig) -> np.ndarray:
-    m = config.modulation
-    angles = 2.0 * np.pi * np.arange(m) / m + _phase_offset(config)
-    return np.exp(1j * angles)
-
-
-def _symbols_to_points(code_symbols: np.ndarray, config: ChannelConfig) -> np.ndarray:
-    """(..., N) code symbols -> (..., S) unit-energy constellation points."""
-    m = config.modulation
-    const = _unit_constellation(config)
-    if config.mapping == "natural":
-        if code_symbols.max(initial=0) >= 3 or code_symbols.min(initial=0) < 0:
-            raise ValidationError("natural mapping requires symbols in 0..2")
-        return const[code_symbols]
-    if code_symbols.max(initial=0) >= 2 or code_symbols.min(initial=0) < 0:
-        raise ValidationError("Gray M-PSK carries binary code symbols only")
-    b = config.bits_per_symbol
-    n_trans = code_symbols.shape[-1]
-    pad = (-n_trans) % b
-    if pad:
-        pad_width = [(0, 0)] * (code_symbols.ndim - 1) + [(0, pad)]
-        code_symbols = np.pad(code_symbols, pad_width)
-    groups = code_symbols.reshape(code_symbols.shape[:-1] + (-1, b))
-    weights = 1 << np.arange(b - 1, -1, -1)
-    gray_values = groups @ weights
-    _, inverse = _gray_tables(m)
-    return const[inverse[gray_values]]
-
-
 def modulate(code_symbols, config: ChannelConfig, snr_db: float = 0.0) -> np.ndarray:
-    """Map code symbols to channel symbols at energy Es = 10^(snr_db/10).
+    """Map (..., N) code symbols to (..., S) channel symbols at energy Es = 10^(snr_db/10).
 
     Binary symbols ride Gray-mapped M-PSK, most significant bit first within
     each channel symbol, with zero bits appended when the symbol count is not
     a multiple of bits-per-symbol; F_3 symbol k maps to the point at angle
     2*pi*k/3.  Noise is unit-variance, so Es/N0 in dB equals snr_db.
     """
-    arr = np.asarray(code_symbols, dtype=np.int64)
-    amplitude = math.sqrt(10.0 ** (snr_db / 10.0))
-    return amplitude * _symbols_to_points(arr, config)
+    symbols = np.asarray(code_symbols, dtype=np.int64)
+    m, q = config.modulation, config.field_order()
+    if symbols.max(initial=0) >= q or symbols.min(initial=0) < 0:
+        kind = "binary" if q == 2 else "ternary"
+        raise ValidationError(f"{config.mapping} mapping carries {kind} symbols 0..{q - 1} only")
+    angles = 2.0 * np.pi * np.arange(m) / m + _phase_offset(config)
+    points = math.sqrt(10.0 ** (snr_db / 10.0)) * np.exp(1j * angles)
+    if config.mapping == "natural":
+        return points[symbols]
+    b = config.bits_per_symbol
+    pad = (-symbols.shape[-1]) % b
+    if pad:
+        pad_width = [(0, 0)] * (symbols.ndim - 1) + [(0, pad)]
+        symbols = np.pad(symbols, pad_width)
+    groups = symbols.reshape(symbols.shape[:-1] + (-1, b))
+    weights = 1 << np.arange(b - 1, -1, -1)
+    _, inverse = _gray_tables(m)
+    return points[inverse[groups @ weights]]
 
 
 def _draw_fading(rng: np.random.Generator, count: int, config: ChannelConfig) -> np.ndarray:
@@ -232,31 +227,22 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return z.view(np.complex128)[..., 0]
 
 
-def _detect_indices(y: np.ndarray, h: np.ndarray, config: ChannelConfig) -> np.ndarray:
-    """Coherent per-symbol ML detection, as constellation indices.
+@lru_cache(maxsize=None)
+def _decision_table(modulation: int, mapping: str) -> np.ndarray:
+    """Code symbols of each rounded phase step, one row per step.
 
-    For PSK, minimizing |y - h s| over the ring is the same as quantizing the
-    phase of y * conj(h) to the nearest constellation angle.
+    Steps lie within m/2 + 1 of zero.  Rows repeat with period m over 2m
+    rows, so take() reads a negative step from the end and needs no wrap.
+    Gray rows hold a point's bits, most significant first; natural rows its
+    F_3 symbol.
     """
-    m = config.modulation
-    rotated = y * np.conj(h)[..., None]
-    step = 2.0 * np.pi / m
-    idx = np.rint((np.angle(rotated) - _phase_offset(config)) / step).astype(np.int64)
-    return idx % m
-
-
-def _indices_to_symbols(
-    idx: np.ndarray, config: ChannelConfig, n_transmissions: int
-) -> np.ndarray:
-    """Constellation indices back to code symbols, dropping padding."""
-    if config.mapping == "natural":
-        return idx[..., :n_transmissions]
-    gray, _ = _gray_tables(config.modulation)
-    b = config.bits_per_symbol
-    shifts = np.arange(b - 1, -1, -1)
-    bits = (gray[idx][..., None] >> shifts) & 1
-    flat = bits.reshape(idx.shape[:-1] + (-1,))
-    return flat[..., :n_transmissions]
+    rows = np.arange(2 * modulation) % modulation
+    if mapping == "gray":
+        shifts = np.arange(modulation.bit_length() - 2, -1, -1)
+        rows = (_gray_tables(modulation)[0][rows, None] >> shifts) & 1
+    table = rows.reshape(2 * modulation, -1).astype(np.int8)
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def transmit_and_detect(
@@ -266,35 +252,65 @@ def transmit_and_detect(
 
     symbols has shape (S,) or (frames, S); each frame row gets one fading
     coefficient and independent per-symbol noise.  All fading coefficients
-    are drawn first, then all noise.  Returns detected code symbols (padding
+    are drawn first, then all noise.  For PSK, minimizing |y - h s| over the
+    ring is the same as rounding the phase of y * conj(h) to the nearest
+    constellation angle.  Returns detected code symbols as int8 (padding
     dropped when n_transmissions is given).
     """
-    arr = np.asarray(symbols, dtype=np.complex128)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    frames, points = arr.shape
+    arr = np.atleast_2d(np.asarray(symbols, dtype=np.complex128))
+    frames = arr.shape[0]
     h = _draw_fading(rng, frames, config)
-    noise = _complex_normal(rng, (frames, points))
-    y = h[:, None] * arr + noise
-    idx = _detect_indices(y, h, config)
-    if n_transmissions is None:
-        n_transmissions = points * (1 if config.mapping == "natural" else config.bits_per_symbol)
-    out = _indices_to_symbols(idx, config, n_transmissions)
-    return out[0] if single else out
+    y = h[:, None] * arr
+    y += _complex_normal(rng, arr.shape)
+    y *= np.conj(h)[:, None]
+    steps = np.angle(y)
+    steps -= _phase_offset(config)
+    steps /= 2.0 * np.pi / config.modulation
+    table = _decision_table(config.modulation, config.mapping)
+    out = table.take(np.rint(steps, out=steps).astype(np.intp), axis=0).reshape(frames, -1)
+    out = out[:, :n_transmissions]
+    return out[0] if np.ndim(symbols) == 1 else out
 
 
-def _plan_by_receiver(plan: DecodingPlan) -> dict[int, list]:
-    grouped: dict[int, list] = {}
+def _plan_rows(problem: IndexCodingProblem, code: LinearCode, plan: DecodingPlan):
+    """Each receiver's demands with their code-term coefficients, one float32
+    row per demand, and a table of residues mod q.
+
+    A plan entry's estimate minus its wanted message is its row dotted with
+    the error pattern (detected minus sent symbols), mod q, exactly when the
+    entry decodes error-free symbols: sum of known coeff * e_k plus code coeff
+    * column equals e_demand.  Entries that break that identity are refused.
+    """
+    q, n, length = problem.q, problem.n, code.length
+    basis = np.vstack([np.eye(n, dtype=np.int64), code.matrix().T])
+    grouped: dict[int, tuple[list[int], list[np.ndarray]]] = {}
     for entry in plan.entries:
-        grouped.setdefault(entry.receiver, []).append(entry)
-    return grouped
+        terms = [(k, a) for k, a in entry.known_terms if 1 <= k <= n]
+        terms += [(n + c, b) for c, b in entry.code_terms if 1 <= c <= length]
+        weights = np.zeros(n + length, dtype=np.int64)
+        for index, coeff in terms:
+            weights[index - 1] += coeff
+        used = np.flatnonzero(weights)  # a few terms of n + length: keep the check O(terms * n)
+        residue = weights[used] @ basis[used] - (np.arange(1, n + 1) == entry.demand)
+        in_range = len(terms) == len(entry.known_terms) + entry.count and 1 <= entry.demand <= n
+        if not in_range or (residue % q).any():
+            raise ValidationError(
+                f"plan entry of receiver {entry.receiver} does not decode: {entry.expression()}"
+            )
+        demands, rows = grouped.setdefault(entry.receiver, ([], []))
+        demands.append(entry.demand)
+        rows.append(weights[n:] % q)
+    by_receiver = {r: (d, np.array(rows, dtype=np.float32)) for r, (d, rows) in grouped.items()}
+    # Message and error sums are at most (q-1)^2 * max(n, length) in size;
+    # take() reads a negative one from the end of a table of q-multiple length.
+    bound = (q - 1) ** 2 * max(n, length)
+    return by_receiver, (np.arange(q * (bound // q + 1)) % q).astype(np.int8)
 
 
 def _run_block(
     problem: IndexCodingProblem,
     code: LinearCode,
-    grouped_plan: dict[int, list],
+    plan_rows,
     config: ChannelConfig,
     snr_idx: int,
     block_idx: int,
@@ -304,31 +320,31 @@ def _run_block(
 
     The RNG stream is keyed by (seed, snr_idx, block_idx) and consumed in a
     fixed order: message draw, then per receiver (ascending) one
-    transmit_and_detect call, which draws fading then noise.  Returns exact
-    integer error counts, so any summation order gives identical totals.
+    transmit_and_detect call, which draws fading then noise.  Each receiver's
+    wrong decodes are read off its error pattern with the rows of _plan_rows.
+    Returns exact integer error counts, so any summation order gives
+    identical totals.
     """
     rng = np.random.Generator(
         np.random.Philox(key=config.seed, counter=[0, 0, snr_idx, block_idx])
     )
-    q, n = problem.q, problem.n
-    messages = rng.integers(0, q, size=(block_size, n), dtype=np.int64)
-    code_symbols = messages @ code.matrix() % q
-    tx = modulate(code_symbols, config, config.snr_points_db[snr_idx])
+    by_receiver, mod_q = plan_rows
+    messages = rng.integers(0, problem.q, size=(block_size, problem.n), dtype=np.int64)
+    products = messages.astype(np.float32) @ code.matrix().astype(np.float32)
+    sent = mod_q.take(products.astype(np.intp))
+    tx = modulate(sent, config, config.snr_points_db[snr_idx])
 
     errors: dict[tuple[int, int], int] = {}
     raw_errors: dict[int, int] = {}
     for receiver in range(1, problem.m + 1):
-        detected = transmit_and_detect(tx, config, rng, code.length)
-        raw_errors[receiver] = int((detected != code_symbols).sum())
-        for entry in grouped_plan.get(receiver, []):
-            estimate = np.zeros(block_size, dtype=np.int64)
-            for msg, coeff in entry.known_terms:
-                estimate += coeff * messages[:, msg - 1]
-            for col, coeff in entry.code_terms:
-                estimate += coeff * detected[:, col - 1]
-            estimate %= q
-            wrong = int((estimate != messages[:, entry.demand - 1]).sum())
-            errors[(receiver, entry.demand)] = wrong
+        pattern = transmit_and_detect(tx, config, rng, code.length)
+        pattern -= sent
+        raw_errors[receiver] = int(np.count_nonzero(pattern))
+        if receiver in by_receiver:
+            demands, rows = by_receiver[receiver]
+            residues = rows @ pattern.T.astype(np.float32)
+            wrong = mod_q.take(residues.astype(np.intp))
+            errors.update(((receiver, d), np.count_nonzero(w)) for d, w in zip(demands, wrong))
     return errors, raw_errors
 
 
@@ -364,20 +380,16 @@ def simulate_bep(
     if code.length == 0:
         raise ValidationError("cannot simulate a code with no transmissions")
 
-    grouped = _plan_by_receiver(plan)
-    tasks = []
-    for snr_idx in range(len(config.snr_points_db)):
-        remaining = config.trials
-        block_idx = 0
-        while remaining > 0:
-            size = min(BLOCK_TRIALS, remaining)
-            tasks.append((snr_idx, block_idx, size))
-            remaining -= size
-            block_idx += 1
+    plan_rows = _plan_rows(problem, code, plan)
+    tasks = [
+        (snr_idx, start // BLOCK_TRIALS, min(BLOCK_TRIALS, config.trials - start))
+        for snr_idx in range(len(config.snr_points_db))
+        for start in range(0, config.trials, BLOCK_TRIALS)
+    ]
 
     def run(task):
         snr_idx, block_idx, size = task
-        return task, _run_block(problem, code, grouped, config, snr_idx, block_idx, size)
+        return task, _run_block(problem, code, plan_rows, config, snr_idx, block_idx, size)
 
     # pool.map submits every task at once: more workers would only idle.
     workers = min(threads, len(tasks), _available_cpus())
@@ -387,33 +399,21 @@ def simulate_bep(
     else:
         results = [run(t) for t in tasks]
 
-    error_totals: dict[tuple[int, int, int], int] = {}
-    raw_totals: dict[tuple[int, int], int] = {}
+    error_totals: Counter = Counter()
+    raw_totals: Counter = Counter()
     for (snr_idx, _block, _size), (errors, raw_errors) in results:
         for (receiver, demand), count in errors.items():
-            key = (snr_idx, receiver, demand)
-            error_totals[key] = error_totals.get(key, 0) + count
+            error_totals[snr_idx, receiver, demand] += count
         for receiver, count in raw_errors.items():
-            key2 = (snr_idx, receiver)
-            raw_totals[key2] = raw_totals.get(key2, 0) + count
+            raw_totals[snr_idx, receiver] += count
 
     records = []
     for snr_idx, snr_db in enumerate(config.snr_points_db):
         for receiver, demand in problem.demands():
-            wrong = error_totals.get((snr_idx, receiver, demand), 0)
-            records.append(
-                BepRecord(
-                    receiver=receiver,
-                    demand=demand,
-                    snr_db=snr_db,
-                    trials=config.trials,
-                    bit_errors=wrong,
-                    bep=wrong / config.trials,
-                )
-            )
-    if return_raw:
-        return records, raw_totals
-    return records
+            wrong = error_totals[snr_idx, receiver, demand]
+            bep = wrong / config.trials
+            records.append(BepRecord(receiver, demand, snr_db, config.trials, wrong, bep))
+    return (records, dict(raw_totals)) if return_raw else records
 
 
 def resolve_code_selector(problem: IndexCodingProblem, selector: str) -> LinearCode:

@@ -22,7 +22,14 @@ from uniprior.channelsim import (
     transmit_and_detect,
     with_overrides,
 )
-from uniprior.codegen import decoding_plan, design_min_max_code, parse_code
+from uniprior.codegen import (
+    DecodingPlan,
+    DemandPlan,
+    LinearCode,
+    decoding_plan,
+    design_min_max_code,
+    parse_code,
+)
 from uniprior.errors import ValidationError
 from uniprior.graphcore import parse_problem, parse_problem_text
 
@@ -118,11 +125,39 @@ def test_seed_defaults_when_omitted():
         ),
         ("modulation: 4\nmapping: [gray]\nfading: none\nsnr_db: [0]\ntrials: 5\n", "string"),
         ("modulation: 4\nmapping: gray\nfading: none\nsnr_db: [0]\ntrials: 5\n:", "malformed"),
+        ("modulation: 4\nmapping: gray\nfading: none\nsnr_db: [.inf]\ntrials: 5\n", "not finite"),
+        ("modulation: 4\nmapping: gray\nfading: none\nsnr_db: [.nan]\ntrials: 5\n", "not finite"),
+        ("modulation: 4\nmapping: gray\nfading: none\nsnr_db: [-.inf]\ntrials: 5\n", "not finite"),
+        ("modulation: 4\nmapping: gray\nfading: none\nsnr_db: [4000]\ntrials: 5\n", "overflows"),
+        (
+            "modulation: 4\nmapping: gray\nfading: none\nsnr_db: [0, 1" + "0" * 400 + "]\n"
+            "trials: 5\n",
+            "overflows",
+        ),
+        (
+            "modulation: 4\nmapping: gray\nfading: rician\nsnr_db: [10]\ntrials: 5\n"
+            "rician_k: .inf\n",
+            "finite rician_k > 0",
+        ),
+        (
+            "modulation: 4\nmapping: gray\nfading: rician\nsnr_db: [10]\ntrials: 5\n"
+            "rician_k: .nan\n",
+            "finite rician_k > 0",
+        ),
     ],
 )
 def test_config_rejections(text, fragment):
     with pytest.raises(ValidationError, match=fragment):
         parse_config_text(text)
+
+
+def test_largest_snr_whose_energy_fits_a_float_is_accepted():
+    top = 3082.0
+    assert math.isfinite(10.0 ** (top / 10.0))
+    config = cfg(snr_points_db=(top,))
+    assert np.isfinite(modulate([0, 1], config, top)).all()
+    with pytest.raises(ValidationError, match="overflows"):
+        cfg(snr_points_db=(0.0, top + 1.0))
 
 
 def test_bool_snr_entry_rejected():
@@ -272,6 +307,144 @@ def test_fading_draws_have_unit_mean_power():
     assert np.array_equal(none, np.ones(5))
 
 
+# ---------------------------------------------------------------- detection reference
+#
+# The detector as it stood before the decision tables: phase index by integer
+# % m, then Gray lookup and bit expansion.  transmit_and_detect must give the
+# same symbols, value for value.
+
+
+def reference_detect_indices(y, h, config):
+    m = config.modulation
+    rotated = y * np.conj(h)[..., None]
+    step = 2.0 * np.pi / m
+    idx = np.rint((np.angle(rotated) - channelsim._phase_offset(config)) / step).astype(np.int64)
+    return idx % m
+
+
+def reference_indices_to_symbols(idx, config, n_transmissions):
+    if config.mapping == "natural":
+        return idx[..., :n_transmissions]
+    gray, _ = _gray_tables(config.modulation)
+    b = config.bits_per_symbol
+    shifts = np.arange(b - 1, -1, -1)
+    bits = (gray[idx][..., None] >> shifts) & 1
+    flat = bits.reshape(idx.shape[:-1] + (-1,))
+    return flat[..., :n_transmissions]
+
+
+def reference_transmit_and_detect(symbols, config, rng, n_transmissions=None):
+    arr = np.asarray(symbols, dtype=np.complex128)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None, :]
+    frames, points = arr.shape
+    h = _draw_fading(rng, frames, config)
+    noise = channelsim._complex_normal(rng, (frames, points))
+    y = h[:, None] * arr + noise
+    idx = reference_detect_indices(y, h, config)
+    if n_transmissions is None:
+        n_transmissions = points * (1 if config.mapping == "natural" else config.bits_per_symbol)
+    out = reference_indices_to_symbols(idx, config, n_transmissions)
+    return out[0] if single else out
+
+
+ALL_MODULATIONS = [(2, "gray"), (3, "natural"), (4, "gray"), (8, "gray"), (16, "gray")]
+
+
+def assert_same_detection(new, old):
+    assert new.shape == old.shape
+    assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("modulation, mapping", ALL_MODULATIONS)
+@pytest.mark.parametrize("fading", ["none", "rayleigh", "rician"])
+def test_detection_matches_reference_on_random_frames(modulation, mapping, fading):
+    config = cfg(
+        modulation=modulation,
+        mapping=mapping,
+        fading=fading,
+        rician_k=2.0 if fading == "rician" else None,
+    )
+    q = config.field_order()
+    b = config.bits_per_symbol
+    draw = np.random.Generator(np.random.Philox(key=modulation))
+    # lengths 3b + 1 and 1 pad the last channel symbol whenever b > 1
+    for n_trans in (3 * b, 3 * b + 1, 1):
+        symbols = draw.integers(0, q, size=(500, n_trans), dtype=np.int64)
+        for snr in (-5.0, 3.0, 12.0):
+            tx = modulate(symbols, config, snr)
+            for n_arg in (None, n_trans):
+                key = [modulation * 100 + n_trans, int(snr) + 100]
+                new_rng = np.random.Generator(np.random.Philox(key=key))
+                old_rng = np.random.Generator(np.random.Philox(key=key))
+                new = transmit_and_detect(tx, config, new_rng, n_arg)
+                old = reference_transmit_and_detect(tx, config, old_rng, n_arg)
+                assert_same_detection(new, old)
+                assert new.dtype == np.int8
+                # one frame as a 1-D array
+                new = transmit_and_detect(tx[7], config, new_rng, n_arg)
+                old = reference_transmit_and_detect(tx[7], config, old_rng, n_arg)
+                assert_same_detection(new, old)
+
+
+class PresetNormals:
+    """Stands in for a Generator: hands out preset standard normals in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == shape
+        return draw.copy()
+
+
+def boundary_points(config):
+    """Points on each decision angle, one ulp either side in each coordinate,
+    and signed zeros on both axes."""
+    m = config.modulation
+    step = 2.0 * np.pi / m
+    angles = channelsim._phase_offset(config) + (np.arange(m) + 0.5) * step
+    points = []
+    for angle in np.concatenate([angles, np.arange(8) * np.pi / 4]):
+        x, y = math.cos(angle), math.sin(angle)
+        for dx in (-math.inf, None, math.inf):
+            for dy in (-math.inf, None, math.inf):
+                px = x if dx is None else math.nextafter(x, dx)
+                py = y if dy is None else math.nextafter(y, dy)
+                points.append(complex(px, py))
+    for a in (1.0, -1.0, 0.0, -0.0):
+        for b in (0.0, -0.0):
+            points += [complex(a, b), complex(b, a)]
+    points += [complex(t, t) for t in (0.5, -0.5)] + [complex(0.5, -0.5), complex(-0.5, 0.5)]
+    return np.array(points)
+
+
+@pytest.mark.parametrize("modulation, mapping", ALL_MODULATIONS)
+def test_detection_matches_reference_on_decision_boundaries(modulation, mapping):
+    # Rayleigh fading with preset normals gives h = +-1 with a signed-zero
+    # imaginary part and zero noise, so y * conj(h) keeps each point (up to
+    # the sign of a zero) and rounding meets every tie of the decision rule.
+    config = cfg(modulation=modulation, mapping=mapping, fading="rayleigh")
+    points = boundary_points(config)
+    h_parts = [(re, im) for re in (1.0, -1.0) for im in (0.0, -0.0)]
+    frames = len(h_parts)
+    tx = np.tile(points, (frames, 1))
+    fading = np.array(h_parts) * math.sqrt(2.0)
+    assert np.array_equal(fading * (1.0 / math.sqrt(2.0)), np.array(h_parts))
+    noise = np.zeros(tx.shape + (2,))
+    new = transmit_and_detect(tx, config, PresetNormals(fading, noise))
+    old = reference_transmit_and_detect(tx, config, PresetNormals(fading, noise))
+    assert_same_detection(new, old)
+
+    # The rotated points reach the angle +-pi with either sign of zero.
+    h = fading.view(np.complex128)[:, 0] * (1.0 / math.sqrt(2.0))
+    rotated = (h[:, None] * tx) * np.conj(h)[:, None]
+    on_negative_axis = rotated[(rotated.real < 0) & (rotated.imag == 0)]
+    assert set(np.signbit(on_negative_axis.imag)) == {False, True}
+
+
 # ---------------------------------------------------------------- simulation
 
 
@@ -387,6 +560,152 @@ def test_plan_for_other_code_rejected(four_cycle):
     other_plan = decoding_plan(other, nine)
     with pytest.raises(ValidationError, match="different code"):
         simulate_bep(problem, code, other_plan, cfg())
+
+
+@pytest.mark.parametrize(
+    "known, terms",
+    [
+        ((), ((2, 1),)),  # wrong column
+        ((), ((1, 1), (2, 1))),  # right columns, known message left out
+        (((1, 1),), ((1, 1), (9, 1))),  # column past the code's length
+        (((0, 1),), ((1, 1),)),  # message 0 does not exist
+    ],
+)
+def test_plan_that_does_not_decode_is_refused(four_cycle, known, terms):
+    problem, code, plan = four_cycle
+    first = plan.entries[0]
+    assert (first.receiver, first.demand, first.known_terms, first.code_terms) == (
+        1, 2, ((1, 1),), ((1, 1),)
+    )
+    wrong = DemandPlan(receiver=1, demand=2, known_terms=known, code_terms=terms)
+    bad_plan = DecodingPlan(code=code, entries=(wrong,) + plan.entries[1:])
+    with pytest.raises(ValidationError, match="receiver 1 does not decode"):
+        simulate_bep(problem, code, bad_plan, cfg())
+
+
+def test_hand_built_plan_that_decodes_is_accepted(four_cycle):
+    # x2 = x1 + t1 written as x2 = 2*x1 + t1 + x1 over F_2: the identity holds
+    problem, code, plan = four_cycle
+    same = DemandPlan(receiver=1, demand=2, known_terms=((1, 3),), code_terms=((1, 1),))
+    records = simulate_bep(problem, code, plan, cfg(trials=300))
+    other = DecodingPlan(code=code, entries=(same,) + plan.entries[1:])
+    assert simulate_bep(problem, code, other, cfg(trials=300)) == records
+
+
+# ---------------------------------------------------------------- block reference
+#
+# _run_block as it stood before the error-pattern form: every estimate built
+# from the messages and the detected symbols, entry by entry.
+
+
+def reference_run_block(problem, code, grouped_plan, config, snr_idx, block_idx, block_size):
+    rng = np.random.Generator(
+        np.random.Philox(key=config.seed, counter=[0, 0, snr_idx, block_idx])
+    )
+    q, n = problem.q, problem.n
+    messages = rng.integers(0, q, size=(block_size, n), dtype=np.int64)
+    code_symbols = messages @ code.matrix() % q
+    tx = modulate(code_symbols, config, config.snr_points_db[snr_idx])
+    errors, raw_errors = {}, {}
+    for receiver in range(1, problem.m + 1):
+        detected = reference_transmit_and_detect(tx, config, rng, code.length)
+        raw_errors[receiver] = int((detected != code_symbols).sum())
+        for entry in grouped_plan.get(receiver, []):
+            estimate = np.zeros(block_size, dtype=np.int64)
+            for msg, coeff in entry.known_terms:
+                estimate += coeff * messages[:, msg - 1]
+            for col, coeff in entry.code_terms:
+                estimate += coeff * detected[:, col - 1]
+            estimate %= q
+            wrong = int((estimate != messages[:, entry.demand - 1]).sum())
+            errors[(receiver, entry.demand)] = wrong
+    return errors, raw_errors
+
+
+def assert_blocks_match_reference(problem, code, config, sizes=(1000,)):
+    plan = decoding_plan(code, problem)
+    grouped = {}
+    for entry in plan.entries:
+        grouped.setdefault(entry.receiver, []).append(entry)
+    rows = channelsim._plan_rows(problem, code, plan)
+    wrong = 0
+    for snr_idx in range(len(config.snr_points_db)):
+        for block_idx, size in enumerate(sizes):
+            new = channelsim._run_block(problem, code, rows, config, snr_idx, block_idx, size)
+            old = reference_run_block(problem, code, grouped, config, snr_idx, block_idx, size)
+            assert new == old
+            wrong += sum(new[0].values())
+    assert wrong > 0  # the comparison saw decoding errors
+
+
+BINARY_CONFIGS = [
+    "awgn_4psk_4db", "rayleigh_4psk", "rayleigh_8psk", "rayleigh_16psk", "rician2_4psk", "smoke"
+]
+FIXTURE_CODES = [
+    ("nine_user_skip", "nine_user_path", BINARY_CONFIGS),
+    ("nine_user_skip", "nine_user_star", BINARY_CONFIGS),
+    ("nine_user_skip", "nine_user_tree_b", BINARY_CONFIGS),
+    ("nine_user_skip", "nine_user_tree_c", BINARY_CONFIGS),
+    ("seven_user_complete", "seven_user_path", BINARY_CONFIGS),
+    ("seven_user_complete", "seven_user_star", BINARY_CONFIGS),
+    ("seven_user_complete_f3", "seven_user_path_f3", ["rayleigh_3psk"]),
+    ("seven_user_complete_f3", "seven_user_star_f3", ["rayleigh_3psk"]),
+]
+
+
+@pytest.mark.parametrize("problem_name, code_name, configs", FIXTURE_CODES)
+def test_blocks_match_reference_on_fixture_codes(problem_name, code_name, configs):
+    problem = parse_problem(problem_path(problem_name))
+    code = parse_code(code_path(code_name))
+    plan = decoding_plan(code, problem)
+    assert all(entry.known_terms for entry in plan.entries)
+    if problem.q == 3:
+        assert any(coeff == 2 for entry in plan.entries for _, coeff in entry.code_terms)
+    for name in configs:
+        config = parse_config(config_path(name))
+        assert_blocks_match_reference(problem, code, config, sizes=(600, 77))
+
+
+def test_blocks_match_reference_with_coefficient_two_and_known_terms():
+    # Every receiver knows two messages over F_3, so plans mix known terms
+    # with coefficient-2 code terms.
+    problem = parse_problem_text(
+        "q: 3\nn: 4\nreceivers:\n"
+        "  - {id: 1, wants: [2, 3], knows: [1, 4]}\n"
+        "  - {id: 2, wants: [3], knows: [2, 1]}\n"
+        "  - {id: 3, wants: [4], knows: [3, 2]}\n"
+        "  - {id: 4, wants: [1], knows: [4, 3]}\n"
+    )
+    code = LinearCode(q=3, n=4, columns=((1, 2, 0, 1), (0, 1, 1, 0), (1, 0, 2, 2)))
+    plan = decoding_plan(code, problem)
+    assert any(entry.known_terms for entry in plan.entries)
+    assert any(coeff == 2 for entry in plan.entries for _, coeff in entry.code_terms)
+    config = parse_config(config_path("rayleigh_3psk"))
+    assert_blocks_match_reference(problem, code, config)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_blocks_match_reference_with_idle_receiver_and_padding(q):
+    # Receiver 2 wants nothing.  The code has three transmissions, so QPSK
+    # pads its second channel symbol and 16-PSK its only one; 8-PSK padding
+    # is covered by the eight-transmission nine-user codes above.
+    problem = parse_problem_text(
+        f"q: {q}\nn: 4\nreceivers:\n"
+        "  - {id: 1, wants: [2, 3], knows: [1]}\n"
+        "  - {id: 2, wants: [], knows: [2]}\n"
+        "  - {id: 3, wants: [1], knows: [3]}\n"
+        "  - {id: 4, wants: [3], knows: [4]}\n"
+    )
+    code = design_min_max_code(problem).code
+    assert code.length == 3
+    plan = decoding_plan(code, problem)
+    assert 2 not in {entry.receiver for entry in plan.entries}
+    modulations = [(3, "natural")] if q == 3 else [(4, "gray"), (8, "gray"), (16, "gray")]
+    for modulation, mapping in modulations:
+        config = cfg(
+            modulation=modulation, mapping=mapping, fading="rayleigh", snr_points_db=(0.0, 8.0)
+        )
+        assert_blocks_match_reference(problem, code, config, sizes=(999, 4))
 
 
 # ---------------------------------------------------------------- selectors & CSV

@@ -452,17 +452,20 @@ def test_console_script_installed():
 
 
 def test_import_builds_no_cached_table():
-    # Every table behind an lru_cache in codegen and enumeration is built on
-    # first use, so importing the command-line module is all start-up costs.
+    # Every table behind an lru_cache in channelsim, codegen and enumeration
+    # is built on first use, so importing the command-line module is all
+    # start-up costs.
     probe = (
         "import json, uniprior.cli\n"
-        "from uniprior import codegen, enumeration\n"
+        "from uniprior import channelsim, codegen, enumeration\n"
         "print(json.dumps({f'{m.__name__}.{k}': f.cache_info().currsize\n"
-        "    for m in (codegen, enumeration) for k, f in vars(m).items() if hasattr(f, 'cache_info')}))\n"
+        "    for m in (channelsim, codegen, enumeration)\n"
+        "    for k, f in vars(m).items() if hasattr(f, 'cache_info')}))\n"
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     sizes = json.loads(done.stdout)
     lazy = {
+        "channelsim._decision_table",
         "codegen._pair_bits",
         "codegen._tree_search_tables",
         "enumeration._numbering",

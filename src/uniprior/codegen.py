@@ -64,46 +64,37 @@ def _tree_search_tables(k: int):
 
     Returns (edges, squares): edges[t] has the bit (see _pair_bits) of every
     edge of tree t; squares[t] has the bit of every pair at tree distance at
-    most 2, i.e. of every pair inside some closed neighbourhood.  Trees are
-    decoded from all k^(k-2) sequences via the standard smallest-leaf
-    construction, vectorized across trees.
+    most 2: every edge, and the two outer ends of every two edges that meet.
+    Trees are decoded from all k^(k-2) Pruefer sequences on vertex bit sets,
+    vectorized across trees: at step i the smallest leaf is the lowest vertex
+    still alive that no later position names.
     """
     if k == 2:
-        seqs = np.zeros((1, 0), dtype=np.int8)
+        seq_bits = np.zeros((0, 1), dtype=np.int16)
     else:
-        seqs = np.indices((k,) * (k - 2), dtype=np.int8).reshape(k - 2, -1).T
-    t_count = seqs.shape[0]
-    rows = np.arange(t_count)
+        seq_bits = 1 << np.indices((k,) * (k - 2), dtype=np.int16).reshape(k - 2, -1)
+    # later[i] is the OR of the bits of positions i onward
+    later = list(itertools.accumulate(seq_bits[::-1], np.bitwise_or))[::-1]
+    alive = np.full(seq_bits.shape[1], (1 << k) - 1, dtype=np.int16)
+    edge_sets = []  # each edge as the bit set of its two vertices
+    for bit, rest in zip(seq_bits, later):
+        free = alive & ~rest
+        leaf = free & -free  # the lowest bit of free
+        edge_sets.append(leaf | bit)
+        alive ^= leaf
+    edge_sets.append(alive)
 
-    deg = np.ones((t_count, k), dtype=np.int8)
-    for v in range(k):
-        deg[:, v] += (seqs == v).sum(axis=1, dtype=np.int8)
-    ends = np.empty((2, k - 1, t_count), dtype=np.int8)
-    for step in range(k - 2):
-        leaf = np.argmax(deg == 1, axis=1)
-        ends[:, step] = leaf, seqs[:, step]
-        deg[rows, leaf] -= 1
-        deg[rows, seqs[:, step]] -= 1
-    first = np.argmax(deg == 1, axis=1)
-    deg[rows, first] = 0
-    ends[:, k - 2] = first, np.argmax(deg == 1, axis=1)
-
-    pair_mask = np.zeros((k, k), dtype=np.int32)
+    # pair_of[s] is the bit of the pair s when s is a set of two vertices, else 0
+    pair_of = np.zeros(1 << k, dtype=np.int32)
     for (a, b), bit in _pair_bits(k).items():
-        pair_mask[a, b] = pair_mask[b, a] = 1 << bit
-    vertex_mask = (1 << np.arange(k)).astype(np.int16)
-    edges = np.zeros(t_count, dtype=np.int32)
-    hoods = np.tile(vertex_mask, (t_count, 1))
-    for u, v in ends.transpose(1, 0, 2):
-        edges |= pair_mask[u, v]
-        hoods[rows, u] |= vertex_mask[v]
-        hoods[rows, v] |= vertex_mask[u]
-    # inside[s] has the bit of every pair within the vertex set s
-    sets = np.arange(1 << k)
-    inside = np.zeros(1 << k, dtype=np.int32)
-    for (a, b), bit in _pair_bits(k).items():
-        inside[(sets >> a) & (sets >> b) & 1 == 1] |= 1 << bit
-    squares = np.bitwise_or.reduce(inside[hoods], axis=1)
+        pair_of[1 << a | 1 << b] = 1 << bit
+    edges = np.zeros(seq_bits.shape[1], dtype=np.int32)
+    squares = np.zeros_like(edges)
+    for i, edge in enumerate(edge_sets):
+        edges |= pair_of.take(edge)
+        for other in edge_sets[:i]:
+            squares |= pair_of.take(edge ^ other)
+    squares |= edges
     return edges, squares
 
 

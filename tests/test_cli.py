@@ -124,6 +124,28 @@ def test_codegen_serves_a_30_receiver_bidirected_path_in_one_transmission(tmp_pa
     assert "max transmissions per demand: 1" in out
 
 
+def test_codegen_eight_cycle_output_is_pinned(tmp_path, capsys):
+    # receiver i knows x_i and wants x_{i mod 8 + 1}: one 8-vertex component
+    # whose demand support is a cycle, so every labeled tree on 8 vertices is
+    # scored; the digests were recorded with the tables of the reference
+    # decoder (test_codegen.reference_tree_tables)
+    lines = ["q: 2", "n: 8", "receivers:"]
+    lines += [f"  - {{id: {i}, wants: [{i % 8 + 1}], knows: [{i}]}}" for i in range(1, 9)]
+    doc = tmp_path / "cycle8.yaml"
+    doc.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "design"
+    assert cli.main(["codegen", "--problem", str(doc), "--out", str(out_dir)]) == 0
+    assert "max transmissions per demand: 2" in capsys.readouterr().out
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("matrix.yaml", "plan.csv")
+    }
+    assert digests == {
+        "matrix.yaml": "94e093a28363312afdad20082c6a9460aa2fed2903ece10b8f9b180320ca415f",
+        "plan.csv": "2045a3dc20b011d9646387a64e2d4560afc40eebb5023db941c956e9277a13f6",
+    }
+
+
 def test_long_code_with_dependent_columns_is_not_searched(tmp_path):
     # 21 unit columns plus their sum: dependent and longer than the search bound
     n = codegen.PLAN_SEARCH_LIMIT + 1
@@ -394,6 +416,37 @@ def test_malformed_yaml_is_validation_error(tmp_path):
     result = run_cli("prune", "--problem", str(doc))
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
+
+
+# receiver 1 knows two messages: the parser accepts it, the code design
+# refuses it, and a census or a given code still runs
+MULTI_KNOWN_PROBLEM = (
+    "q: 2\nn: 3\nreceivers:\n"
+    "  - {id: 1, wants: [3], knows: [1, 2]}\n"
+    "  - {id: 2, wants: [1], knows: [2]}\n"
+    "  - {id: 3, wants: [2], knows: [3]}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, status, refusal",
+    [
+        (["prune"], 1, "reduce_to_square"),
+        (["codegen", "--out", "{tmp}/design"], 1, "code design"),
+        (["enumerate"], 0, None),
+        (["simulate", "--code", "alg2", "--config", "{smoke}"], 1, "code design"),
+        (["simulate", "--code", "enum:1", "--config", "{smoke}"], 0, None),
+        (["simulate", "--code", "matrix:{tmp}/code.yaml", "--config", "{smoke}"], 0, None),
+    ],
+)
+def test_problem_with_several_known_messages(args, status, refusal, tmp_path, capsys):
+    problem = tmp_path / "multi.yaml"
+    problem.write_text(MULTI_KNOWN_PROBLEM)
+    (tmp_path / "code.yaml").write_text("q: 2\nn: 3\ncolumns:\n  - [1, 1, 1]\n  - [0, 1, 1]\n")
+    argv = [a.format(tmp=tmp_path, smoke=config_path("smoke")) for a in args]
+    assert cli.main(argv[:1] + ["--problem", str(problem)] + argv[1:]) == status
+    if refusal:
+        assert capsys.readouterr().err == f"error: {refusal} requires a uniprior problem\n"
 
 
 def test_bad_selector_is_validation_error():

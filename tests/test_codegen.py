@@ -22,6 +22,7 @@ from uniprior.codegen import (
     PLAN_SEARCH_LIMIT,
     LinearCode,
     _best_decode,
+    _pair_bits,
     _tree_search_tables,
     build_index_code,
     codeword_label,
@@ -194,6 +195,56 @@ def test_tree_tables_have_no_duplicate_trees():
     for k in range(2, EXHAUSTIVE_TREE_LIMIT + 1):
         edges, _ = _tree_search_tables(k)
         assert len(np.unique(edges)) == k ** (k - 2)
+
+
+def reference_tree_tables(k):
+    """_tree_search_tables as it once decoded every sequence, with per-tree
+    degree and closed-neighbourhood arrays and 2-D fancy indexing."""
+    if k == 2:
+        seqs = np.zeros((1, 0), dtype=np.int8)
+    else:
+        seqs = np.indices((k,) * (k - 2), dtype=np.int8).reshape(k - 2, -1).T
+    t_count = seqs.shape[0]
+    rows = np.arange(t_count)
+
+    deg = np.ones((t_count, k), dtype=np.int8)
+    for v in range(k):
+        deg[:, v] += (seqs == v).sum(axis=1, dtype=np.int8)
+    ends = np.empty((2, k - 1, t_count), dtype=np.int8)
+    for step in range(k - 2):
+        leaf = np.argmax(deg == 1, axis=1)
+        ends[:, step] = leaf, seqs[:, step]
+        deg[rows, leaf] -= 1
+        deg[rows, seqs[:, step]] -= 1
+    first = np.argmax(deg == 1, axis=1)
+    deg[rows, first] = 0
+    ends[:, k - 2] = first, np.argmax(deg == 1, axis=1)
+
+    pair_mask = np.zeros((k, k), dtype=np.int32)
+    for (a, b), bit in _pair_bits(k).items():
+        pair_mask[a, b] = pair_mask[b, a] = 1 << bit
+    vertex_mask = (1 << np.arange(k)).astype(np.int16)
+    edges = np.zeros(t_count, dtype=np.int32)
+    hoods = np.tile(vertex_mask, (t_count, 1))
+    for u, v in ends.transpose(1, 0, 2):
+        edges |= pair_mask[u, v]
+        hoods[rows, u] |= vertex_mask[v]
+        hoods[rows, v] |= vertex_mask[u]
+    # inside[s] has the bit of every pair within the vertex set s
+    sets = np.arange(1 << k)
+    inside = np.zeros(1 << k, dtype=np.int32)
+    for (a, b), bit in _pair_bits(k).items():
+        inside[(sets >> a) & (sets >> b) & 1 == 1] |= 1 << bit
+    squares = np.bitwise_or.reduce(inside[hoods], axis=1)
+    return edges, squares
+
+
+@pytest.mark.parametrize("k", range(2, EXHAUSTIVE_TREE_LIMIT + 1))
+def test_tree_tables_match_reference_decoder(k):
+    for fast, slow in zip(_tree_search_tables(k), reference_tree_tables(k)):
+        assert fast.dtype == slow.dtype == np.int32
+        assert fast.shape == slow.shape
+        assert np.array_equal(fast, slow)
 
 
 def test_star_minimizes_when_all_pairs_are_demands():

@@ -6,7 +6,8 @@ uncoded symbol per leftover arc (the tail's message), and one uncoded symbol
 per message known to nobody.  Receivers decode a wanted message by adding a
 multiple of their known message to a subset of received symbols; the number of
 received symbols used is that demand's transmission count, which the tree
-search minimizes in the worst case over demands.
+search minimizes in the worst case over demands.  decoding_plan finds each
+demand's least count for any code, from one row reduction of its columns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .fields import SUPPORTED_FIELD_ORDERS, ColumnBasis, SpanBasis, unit_vector, vec_add, vec_scale
+from .fields import SUPPORTED_FIELD_ORDERS, ColumnBasis, unit_vector
 from .graphcore import (
     IndexCodingProblem,
     InformationFlowGraph,
@@ -39,10 +40,11 @@ from .graphcore import (
 # are searched exhaustively over all labeled spanning trees (k^(k-2) of them);
 # larger ones use a star.
 EXHAUSTIVE_TREE_LIMIT = 8
-# The decoding-plan search for codes with linearly dependent columns tries up
-# to q^N combinations for a code of length N; refuse when q^N exceeds
-# 2^PLAN_SEARCH_LIMIT (20 columns over F_2, 12 over F_3).  Codes with
-# independent columns are solved by row reduction at any length.
+# A decoding plan walks every solution of a demand's linear system: q^d of
+# them for a code whose columns have a kernel of dimension d (length minus
+# rank).  Refuse when q^d exceeds 2^PLAN_SEARCH_LIMIT (d above 20 over F_2,
+# above 12 over F_3).  Codes with independent columns (d = 0) are planned at
+# any length.
 PLAN_SEARCH_LIMIT = 20
 
 
@@ -373,49 +375,15 @@ class DecodingPlan:
     entries: tuple[DemandPlan, ...]
 
 
-def _best_decode(code: LinearCode, receiver: int, demand: int, known: list[int]) -> DemandPlan:
-    q, n = code.q, code.n
-    target = unit_vector(n, demand)
-    known_vecs = [unit_vector(n, k) for k in known]
-    if not SpanBasis(n, q, known_vecs + list(code.columns)).contains(target):
-        raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
-    zero = (0,) * n
-    for card in range(code.length + 1):
-        for subset in itertools.combinations(range(code.length), card):
-            for alphas in itertools.product(range(q), repeat=len(known)):
-                base = zero
-                for a, kv in zip(alphas, known_vecs):
-                    if a:
-                        base = vec_add(base, vec_scale(kv, a, q), q)
-                for betas in itertools.product(range(1, q), repeat=card):
-                    total = base
-                    for b, t in zip(betas, subset):
-                        total = vec_add(total, vec_scale(code.columns[t], b, q), q)
-                    if total == target:
-                        return DemandPlan(
-                            receiver=receiver,
-                            demand=demand,
-                            known_terms=tuple(
-                                (k, a) for k, a in zip(known, alphas) if a
-                            ),
-                            code_terms=tuple(
-                                (t + 1, b) for t, b in zip(subset, betas)
-                            ),
-                        )
-    raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
-
-
 def _solved_decode(
     basis: ColumnBasis, receiver: int, demand: int, known: list[int]
 ) -> DemandPlan:
-    """The plan _best_decode finds, read off independent columns.
+    """The plan with the fewest columns, then the earliest column list, then
+    the earliest known-message multiple alphas in itertools.product order.
 
-    For each multiple alphas of the known messages, e_demand - sum alphas * e_k
-    has at most one set of coordinates in independent columns.  So the
-    search's first hit is the smallest (count, column subset, alphas in
-    itertools.product order) over the alphas that have coordinates, and its
-    coefficients are those coordinates.  (Over F_2 and F_3 two alphas never
-    tie on count and subset: their coordinates would differ inside one
+    basis.coordinates gives the lightest solution of e_demand - sum alphas *
+    e_k for each alphas.  (At the least count two alphas never tie on the
+    columns over F_2 and F_3: their coordinates would differ inside one
     support, and an affine combination of the two would use fewer columns.)
     """
     q = basis.q
@@ -445,29 +413,27 @@ def decoding_plan(code: LinearCode, problem: IndexCodingProblem) -> DecodingPlan
     For each demand the plan uses the fewest received symbols whose
     combination with a multiple of the receiver's known messages yields the
     wanted one; ties go to the lexicographically earliest column subset and
-    smallest coefficients.  Codes with linearly independent columns (every
-    designed code and every optimal-length code) are solved from one row
-    reduction; others fall back to the search while q^N is at most
-    2^PLAN_SEARCH_LIMIT.
+    smallest coefficients.  One row reduction of the columns serves every
+    demand.  Each multiple's solutions form one coset of the columns' kernel,
+    of q^d members for kernel dimension d; every designed code and every
+    optimal-length code has d = 0, so its plan is read off directly.  Codes
+    are refused when q^d exceeds 2^PLAN_SEARCH_LIMIT.
     """
     if code.q != problem.q:
         raise ValidationError(f"code is over q={code.q} but problem is over q={problem.q}")
     if code.n != problem.n:
         raise ValidationError(f"code covers {code.n} messages but problem has {problem.n}")
     basis = ColumnBasis.of(code.n, code.q, code.columns)
-    if basis is None and code.q**code.length > 1 << PLAN_SEARCH_LIMIT:
-        longest = next(n for n in itertools.count() if code.q ** (n + 1) > 1 << PLAN_SEARCH_LIMIT)
+    if code.q ** len(basis.kernel) > 1 << PLAN_SEARCH_LIMIT:
+        most = next(d for d in itertools.count() if code.q ** (d + 1) > 1 << PLAN_SEARCH_LIMIT)
         raise InfeasibleError(
-            "decoding-plan search not attempted for codes with dependent columns "
-            f"longer than {longest} over F_{code.q}"
+            "decoding-plan search not attempted for codes with more than "
+            f"{most} dependent columns (length minus rank) over F_{code.q}"
         )
-    entries = []
-    for receiver, demand in problem.demands():
-        known = sorted(problem.known_sets[receiver - 1])
-        if basis is None:
-            entries.append(_best_decode(code, receiver, demand, known))
-        else:
-            entries.append(_solved_decode(basis, receiver, demand, known))
+    entries = [
+        _solved_decode(basis, receiver, demand, sorted(problem.known_sets[receiver - 1]))
+        for receiver, demand in problem.demands()
+    ]
     return DecodingPlan(code=code, entries=tuple(entries))
 
 
@@ -509,7 +475,7 @@ def parse_code(path: str | Path) -> LinearCode:
 
 
 def write_code(code: LinearCode, path: str | Path) -> None:
-    lines = [f"q: {code.q}", f"n: {code.n}", "columns:"]
+    lines = [f"q: {code.q}", f"n: {code.n}", "columns:" if code.columns else "columns: []"]
     for col in code.columns:
         lines.append(f"  - [{', '.join(str(e) for e in col)}]")
     Path(path).write_text("\n".join(lines) + "\n")

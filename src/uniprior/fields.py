@@ -3,7 +3,8 @@
 Vectors are tuples of ints in [0, q).  The helpers favour clarity over
 asymptotics.  The two bases pack vectors into int bitmasks, since they sit
 inside the decoding-plan hot loops: an F_2 vector is one bitmask, and
-ColumnBasis holds an F_3 vector as a pair of bitmasks.
+ColumnBasis holds an F_3 vector as a pair of bitmasks.  It solves in any
+columns, dependent ones included, for the solution with the fewest columns.
 """
 
 from __future__ import annotations
@@ -11,14 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 SUPPORTED_FIELD_ORDERS = (2, 3)
-
-
-def vec_add(a: Sequence[int], b: Sequence[int], q: int) -> tuple[int, ...]:
-    return tuple((x + y) % q for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(a: Sequence[int], s: int, q: int) -> tuple[int, ...]:
-    return tuple((x * s) % q for x in a)
 
 
 def unit_vector(n: int, index: int) -> tuple[int, ...]:
@@ -39,6 +32,7 @@ def pack_bits(vec: Sequence[int]) -> int:
     return mask
 
 
+# Unused in src/; kept for perfbench/tracing.py, which subclasses it, and the tests.
 class SpanBasis:
     """Incrementally built row basis of a subspace of F_q^n.
 
@@ -152,19 +146,23 @@ def _positions(mask: int):
 
 
 class ColumnBasis:
-    """Row reduction of linearly independent columns c_1..c_N of F_q^n.
+    """Row reduction of columns c_1..c_N of F_q^n, dependent ones included.
 
     Reducing the columns once fixes, for every unit vector e_i, a residue
-    rho_i that is zero at every pivot and coordinates beta_i with
-    e_i = sum_j beta_i[j] * c_j + rho_i.  Both are linear in the vector, so
-    a combination of unit vectors lies in the span iff the same combination
-    of residues vanishes, and its coordinates (unique, the columns being
-    independent) are the same combination of the beta_i.  Build it with
-    ColumnBasis.of(), which gives None for dependent columns.
+    rho_i that is zero at every pivot and coordinates beta_i in the pivot
+    columns with e_i = sum_j beta_i[j] * c_j + rho_i.  Both are linear in the
+    vector, so a combination of unit vectors lies in the span iff the same
+    combination of residues vanishes, and the same combination of the beta_i
+    is one solution.  A column that reduces to zero leaves a kernel vector
+    instead (the column minus the combination of pivot columns equal to
+    it), so every solution is that one plus a member of the kernel's span:
+    q^len(kernel) of them, with len(kernel) = N - rank.  Build it with
+    ColumnBasis.of().
     """
 
-    def __init__(self, n: int, q: int, rows: dict[int, tuple]):
+    def __init__(self, n: int, q: int, rows: dict[int, tuple], kernel: list):
         self.q = q
+        self.kernel = tuple(kernel)
         self._units = []  # message i + 1 -> (rho, beta) of its unit vector
         for i in range(n):
             if i in rows:
@@ -174,12 +172,13 @@ class ColumnBasis:
                 self._units.append((_bit(i, q), _ZERO[q]))
 
     @classmethod
-    def of(cls, n: int, q: int, columns: Sequence[Sequence[int]]) -> "ColumnBasis | None":
+    def of(cls, n: int, q: int, columns: Sequence[Sequence[int]]) -> "ColumnBasis":
         if q not in (2, 3):
             raise ValueError(f"unsupported field order {q}")
         # pivot -> (reduced vector, the combination of columns it equals);
         # every row has a 1 at its pivot and 0 at the other pivots
         rows: dict[int, tuple] = {}
+        kernel = []
         pivots = 0
         for j, col in enumerate(columns):
             vec, tag = _pack(col, q), _bit(j, q)
@@ -189,7 +188,8 @@ class ColumnBasis:
                 tag = _add(tag, _scale(rows[p][1], c, q), q)
             pivot = next(_positions(_support(vec, q)), None)
             if pivot is None:
-                return None
+                kernel.append(tag)  # the columns of tag combine to zero
+                continue
             if _coeff(vec, pivot, q) == 2:
                 vec, tag = _scale(vec, 2, q), _scale(tag, 2, q)
             for p, (rvec, rtag) in rows.items():
@@ -198,14 +198,18 @@ class ColumnBasis:
                     rows[p] = (_add(rvec, _scale(vec, c, q), q), _add(rtag, _scale(tag, c, q), q))
             rows[pivot] = (vec, tag)
             pivots |= 1 << pivot
-        return cls(n, q, rows)
+        return cls(n, q, rows, kernel)
 
     def coordinates(self, terms) -> tuple[tuple[int, int], ...] | None:
-        """Coordinates of the sum of coeff * e_message over (message, coeff) terms.
+        """Lightest coordinates of the sum of coeff * e_message over (message, coeff) terms.
 
-        Messages and the returned columns are 1-based.  The result lists the
-        (column, coeff) pairs with nonzero coeff in ascending column order; it
-        is None when the vector lies outside the span.
+        Messages and the returned columns are 1-based.  Among all solutions,
+        the result is the one with the fewest nonzero coefficients, then the
+        lexicographically earliest sorted column list; it is unique, since two
+        such solutions would differ by a kernel vector inside their common
+        support, and subtracting a multiple of it would use fewer columns.  It
+        lists the (column, coeff) pairs with nonzero coeff in ascending column
+        order, and is None when the vector lies outside the span.
         """
         q = self.q
         residue = beta = _ZERO[q]
@@ -215,4 +219,28 @@ class ColumnBasis:
             beta = _add(beta, _scale(b, coeff, q), q)
         if _support(residue, q):
             return None
+        if self.kernel:
+            beta = self._lightest(beta)
         return tuple((j + 1, _coeff(beta, j, q)) for j in _positions(_support(beta, q)))
+
+    def _lightest(self, beta):
+        """The member of beta + span(kernel) that coordinates() returns.
+
+        Walks all q^len(kernel) members in modular Gray code order: step i
+        adds kernel[j], where q^j is the largest power of q dividing i.
+        """
+        q = self.q
+        x = best = beta
+        least = _support(beta, q)
+        for step in range(1, q ** len(self.kernel)):
+            j, rest = 0, step
+            while rest % q == 0:
+                j, rest = j + 1, rest // q
+            x = _add(x, self.kernel[j], q)
+            # fewer columns, or as many with the earlier sorted column list:
+            # the lowest bit where the two supports differ is in x's
+            support = _support(x, q)
+            fewer, differ = support.bit_count() - least.bit_count(), support ^ least
+            if fewer < 0 or fewer == 0 and differ & -differ & support:
+                best, least = x, support
+        return best

@@ -125,6 +125,16 @@ FIVE_USER_TWO_STEP_COUNT_MULTISET = (1, 1, 1, 1, 2, 2, 2, 2, 2, 2)
 # Independent formulas and builders used by several test modules.
 
 
+def vec_add(a, b, q):
+    """Coordinate-wise sum of two F_q vectors."""
+    return tuple((x + y) % q for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(a, s, q):
+    """The F_q vector a times the scalar s."""
+    return tuple((x * s) % q for x in a)
+
+
 def binomial_oracle(p, c):
     """Direct odd-term binomial sum: P(an odd number of c symbols err), each
     symbol wrong independently with probability p."""

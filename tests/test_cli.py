@@ -9,8 +9,9 @@ import pytest
 from conftest import FIXTURES, code_path, config_path, problem_path, random_square_problem_text
 from test_codegen import dependent_path_code
 from uniprior import cli, codegen, enumeration, graphcore
-from uniprior.codegen import design_min_max_code, parse_code, write_code
-from uniprior.graphcore import parse_problem
+from uniprior.codegen import LinearCode, design_min_max_code, parse_code, write_code
+from uniprior.fields import unit_vector
+from uniprior.graphcore import parse_problem, parse_problem_text
 
 
 def run_cli(*args, timeout=None):
@@ -146,38 +147,88 @@ def test_codegen_eight_cycle_output_is_pinned(tmp_path, capsys):
     }
 
 
-def test_long_code_with_dependent_columns_is_not_searched(tmp_path):
-    # 21 unit columns plus their sum: dependent and longer than the search bound
-    n = codegen.PLAN_SEARCH_LIMIT + 1
-    rows = [[int(i == j) for i in range(n)] for j in range(n)] + [[1] * n]
-    matrix = tmp_path / "dependent.yaml"
-    matrix.write_text(f"q: 2\nn: {n}\ncolumns:\n" + "".join(f"  - {r}\n" for r in rows))
+def test_codegen_round_trips_an_empty_code(tmp_path):
+    # receiver 1 knows x_1 and wants nothing: the designed code is empty, and
+    # its matrix.yaml must read back as that code, not fail to parse
     doc = tmp_path / "problem.yaml"
-    doc.write_text(random_square_problem_text(n, 2, 0.2, seed=21))
-    result = run_cli(
+    doc.write_text("q: 2\nn: 2\nreceivers:\n  - {id: 1, wants: [], knows: [1]}\n")
+    out_dir = tmp_path / "design"
+    result = run_cli("codegen", "--problem", str(doc), "--out", str(out_dir))
+    assert result.returncode == 0
+    assert "code length: 0" in result.stdout
+    assert (out_dir / "matrix.yaml").read_text() == "q: 2\nn: 2\ncolumns: []\n"
+    written = parse_code(out_dir / "matrix.yaml")
+    assert written.code_hash() == design_min_max_code(parse_problem(doc)).code.code_hash()
+    # simulate reads the file and refuses the empty code as it refuses alg2's
+    for selector in (f"matrix:{out_dir / 'matrix.yaml'}", "alg2"):
+        result = run_cli(
+            "simulate", "--problem", str(doc), "--code", selector, "--config", str(config_path("smoke"))
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: cannot simulate a code with no transmissions\n"
+
+
+def simulate_matrix(tmp_path, code, problem_text):
+    """`simulate --code matrix:` on 200 trials, 4-PSK over F_2 or 3-PSK over F_3."""
+    matrix, doc = tmp_path / "code.yaml", tmp_path / "problem.yaml"
+    write_code(code, matrix)
+    doc.write_text(problem_text)
+    config = config_path("smoke" if code.q == 2 else "rayleigh_3psk")
+    return run_cli(
         "simulate", "--problem", str(doc), "--code", f"matrix:{matrix}",
-        "--config", str(config_path("smoke")),
+        "--config", str(config), "--trials", "200", timeout=60,
+    )
+
+
+def test_long_code_with_dependent_columns_is_planned(tmp_path):
+    # 21 unit columns plus their sum: longer than the old column bound, but
+    # one kernel vector, so it is planned; every demand is one unit column
+    n = 21
+    code = LinearCode(q=2, n=n, columns=tuple(unit_vector(n, i) for i in range(1, n + 1)) + ((1,) * n,))
+    problem_text = random_square_problem_text(n, 2, 0.2, seed=21)
+    problem = parse_problem_text(problem_text)
+    plan = codegen.decoding_plan(code, problem)
+    assert [(e.receiver, e.demand, e.code_terms) for e in plan.entries] == [
+        (r, d, ((d, 1),)) for r, d in problem.demands()
+    ]
+    result = simulate_matrix(tmp_path, code, problem_text)
+    assert result.returncode == 0
+    rows = [line for line in result.stdout.splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 3 * len(problem.demands())  # header, then 3 SNR points per demand
+
+
+def test_code_past_the_kernel_bound_exits_at_once(tmp_path):
+    # 21 unit columns, each sent twice: a kernel of dimension 21 over F_2
+    n = codegen.PLAN_SEARCH_LIMIT + 1
+    units = tuple(unit_vector(n, i) for i in range(1, n + 1))
+    result = simulate_matrix(
+        tmp_path, LinearCode(q=2, n=n, columns=units + units), random_square_problem_text(n, 2, 0.2, seed=21)
     )
     assert result.returncode == 2
-    assert "not attempted" in result.stderr
+    assert "not attempted for codes with more than 20 dependent columns" in result.stderr
     assert result.stdout == ""
 
 
-def test_ternary_dependent_code_past_its_column_bound_exits_at_once(tmp_path):
+def test_ternary_code_past_its_kernel_bound_exits_at_once(tmp_path):
     # Path code x_i - x_{i+1} over F_3 with its first column repeated: 13
-    # dependent columns, past F_3's bound of 12 (3^13 > 2^20).  A receiver
-    # knowing x_1 and wanting x_13 would keep the search running for minutes.
+    # columns, past F_3's old column bound of 12, and one kernel vector, so a
+    # receiver knowing x_1 and wanting x_13 is planned (all 12 path columns).
+    # With every column repeated the kernel has dimension 13 (3^13 > 2^20),
+    # and the code is refused before any demand is planned.
     n = 13
-    matrix = tmp_path / "path.yaml"
-    write_code(dependent_path_code(3, n), matrix)
-    doc = tmp_path / "problem.yaml"
-    doc.write_text(f"q: 3\nn: {n}\nreceivers:\n  - {{id: 1, wants: [{n}], knows: [1]}}\n")
-    result = run_cli(
-        "simulate", "--problem", str(doc), "--code", f"matrix:{matrix}",
-        "--config", str(config_path("smoke")), timeout=60,
-    )
+    problem_text = f"q: 3\nn: {n}\nreceivers:\n  - {{id: 1, wants: [{n}], knows: [1]}}\n"
+    code = dependent_path_code(3, n)
+    entry = codegen.decoding_plan(code, parse_problem_text(problem_text)).entries[0]
+    assert entry.count == n - 1
+    assert simulate_matrix(tmp_path, code, problem_text).returncode == 0
+
+    n = 14
+    path = dependent_path_code(3, n).columns[: n - 1]
+    problem_text = f"q: 3\nn: {n}\nreceivers:\n  - {{id: 1, wants: [{n}], knows: [1]}}\n"
+    result = simulate_matrix(tmp_path, LinearCode(q=3, n=n, columns=path + path), problem_text)
     assert result.returncode == 2
-    assert "not attempted for codes with dependent columns longer than 12 over F_3" in result.stderr
+    assert "not attempted for codes with more than 12 dependent columns" in result.stderr
+    assert result.stderr.rstrip().endswith("over F_3")
     assert result.stdout == ""
 
 

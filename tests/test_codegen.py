@@ -15,13 +15,15 @@ from oracles import (
     NINE_USER_TREE_B_COUNTS,
     NINE_USER_TREE_C_COUNTS,
     THREE_USER_COUNTS,
+    vec_add,
+    vec_scale,
 )
 from test_acceptance import _random_instance
 from uniprior.codegen import (
     EXHAUSTIVE_TREE_LIMIT,
     PLAN_SEARCH_LIMIT,
+    DemandPlan,
     LinearCode,
-    _best_decode,
     _pair_bits,
     _tree_search_tables,
     build_index_code,
@@ -641,7 +643,38 @@ def test_codeword_label_formats():
 
 
 # ---------------------------------------------------------------------------
-# plans read off independent columns against the subset search
+# plans read off the solution coset against the subset search
+
+
+def _best_decode(code: LinearCode, receiver: int, demand: int, known: list[int]) -> DemandPlan:
+    """Reference plan: try column subsets by size, in itertools.combinations
+    order, each with every known-message multiple and every coefficient
+    choice; the first combination giving e_demand wins."""
+    q, n = code.q, code.n
+    target = unit_vector(n, demand)
+    known_vecs = [unit_vector(n, k) for k in known]
+    if not SpanBasis(n, q, known_vecs + list(code.columns)).contains(target):
+        raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
+    zero = (0,) * n
+    for card in range(code.length + 1):
+        for subset in itertools.combinations(range(code.length), card):
+            for alphas in itertools.product(range(q), repeat=len(known)):
+                base = zero
+                for a, kv in zip(alphas, known_vecs):
+                    if a:
+                        base = vec_add(base, vec_scale(kv, a, q), q)
+                for betas in itertools.product(range(1, q), repeat=card):
+                    total = base
+                    for b, t in zip(betas, subset):
+                        total = vec_add(total, vec_scale(code.columns[t], b, q), q)
+                    if total == target:
+                        return DemandPlan(
+                            receiver=receiver,
+                            demand=demand,
+                            known_terms=tuple((k, a) for k, a in zip(known, alphas) if a),
+                            code_terms=tuple((t + 1, b) for t, b in zip(subset, betas)),
+                        )
+    raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
 
 
 def search_plan(code, problem):
@@ -656,10 +689,19 @@ def search_plan(code, problem):
     return entries
 
 
-def assert_plan_matches_search(code, problem):
-    # independent columns, so decoding_plan reads the plan off the row reduction
-    assert ColumnBasis.of(code.n, code.q, code.columns) is not None
-    assert list(decoding_plan(code, problem).entries) == search_plan(code, problem)
+def assert_plan_matches_search(code, problem) -> bool:
+    """decoding_plan gives _best_decode's entry for every demand, or refuses
+    with the text of the first demand the search refuses; returns whether it
+    refused."""
+    expected = search_plan(code, problem)
+    refusals = [e for e in expected if isinstance(e, str)]
+    if not refusals:
+        assert list(decoding_plan(code, problem).entries) == expected
+        return False
+    with pytest.raises(InfeasibleError) as caught:
+        decoding_plan(code, problem)
+    assert str(caught.value) == refusals[0]
+    return True
 
 
 def test_plans_match_search_on_random_designed_codes():
@@ -714,16 +756,71 @@ def test_plans_match_search_with_several_known_messages():
             split = rng.randint(1, min(3, len(messages) - 1))
             receiver = {"id": 1, "knows": messages[:split], "wants": messages[split:]}
             problem = problem_from_mapping({"q": q, "n": n, "receivers": [receiver]})
-            expected = search_plan(code, problem)
-            if any(isinstance(e, str) for e in expected):
-                refused += 1
-                first = next(e for e in expected if isinstance(e, str))
-                with pytest.raises(InfeasibleError) as caught:
-                    decoding_plan(code, problem)
-                assert str(caught.value) == first
-            else:
-                assert_plan_matches_search(code, problem)
+            refused += assert_plan_matches_search(code, problem)
     assert 50 < refused < 550
+
+
+def random_dependent_code(rng, q, n):
+    """Up to n + 3 nonzero columns over F_q, some repeating or scaling an
+    earlier one, drawn until they are linearly dependent."""
+    while True:
+        columns = []
+        for _ in range(rng.randint(2, n + 3)):
+            if columns and rng.random() < 0.3:
+                columns.append(vec_scale(rng.choice(columns), rng.randrange(1, q), q))
+            else:
+                col = tuple(rng.randrange(q) for _ in range(n))
+                if any(col):
+                    columns.append(col)
+        if SpanBasis(n, q, columns).rank < len(columns):
+            return LinearCode(q=q, n=n, columns=tuple(columns))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_plans_match_search_on_random_dependent_codes(q):
+    rng = random.Random(4100 + q)
+    refused = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        code = random_dependent_code(rng, q, n)
+        receivers = []
+        for rid in range(1, rng.randint(1, 3) + 1):
+            messages = rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
+            split = rng.randint(0, min(2, len(messages) - 1))
+            receivers.append({"id": rid, "knows": messages[:split], "wants": messages[split:]})
+        problem = problem_from_mapping({"q": q, "n": n, "receivers": receivers})
+        refused += assert_plan_matches_search(code, problem)
+    assert 30 < refused < 270
+
+
+def _dependent_codes_above_optimum(problem):
+    """The codes of `enumerate --length opt+1` whose columns are dependent.
+
+    On these fixtures opt + 1 = n, so each generator matrix is square and
+    its columns are dependent iff its determinant vanishes mod q."""
+    length = optimal_length(problem) + 1
+    assert length == problem.n
+    codes = list(enumerate_optimal_codes(problem, length))
+    det = np.linalg.det(np.array([code.columns for code in codes], dtype=float))
+    return [code for code, d in zip(codes, np.rint(det).astype(np.int64)) if d % problem.q == 0]
+
+
+@pytest.mark.parametrize(
+    "name, dependent, sample",
+    [
+        ("three_user", 1, 1),
+        ("four_user_cycle", 35, 35),
+        ("four_user_strong", 35, 35),
+        ("five_user_cycle", 2688, 150),
+        ("five_user_two_step", 2688, 150),
+    ],
+)
+def test_plans_match_search_on_dependent_codes_above_the_optimum(name, dependent, sample):
+    problem = parse_problem(problem_path(name))
+    codes = _dependent_codes_above_optimum(problem)
+    assert len(codes) == dependent
+    for code in random.Random(name).sample(codes, sample):
+        assert not assert_plan_matches_search(code, problem)
 
 
 def dependent_path_code(q, length):
@@ -735,25 +832,47 @@ def dependent_path_code(q, length):
     return LinearCode(q=q, n=length, columns=tuple(path + path[:1]))
 
 
-@pytest.mark.parametrize("q, longest", [(2, 20), (3, 12)])
-def test_dependent_column_search_bound_is_per_field(q, longest):
-    for length in (longest, longest + 1):
+@pytest.mark.parametrize("q, most", [(2, 20), (3, 12)])
+def test_dependent_column_search_bound_is_per_field(q, most):
+    # Path codes at and past the old column bound (20 over F_2, 12 over F_3)
+    # have one kernel vector, so they are planned; x_1 -> x_N takes every
+    # path column, the repeated first column losing the tie to column 1.
+    for length in (most, most + 1):
         code = dependent_path_code(q, length)
-        assert ColumnBasis.of(code.n, q, code.columns) is None
-        receiver = {"id": 1, "knows": [1], "wants": [2]}
+        assert len(ColumnBasis.of(code.n, q, code.columns).kernel) == 1
+        receiver = {"id": 1, "knows": [1], "wants": [2, length]}
         problem = problem_from_mapping({"q": q, "n": length, "receivers": [receiver]})
-        if length == longest:
-            assert plan_entry(decoding_plan(code, problem), 1, 2).count == 1
+        plan = decoding_plan(code, problem)
+        assert plan_entry(plan, 1, 2).count == 1
+        far = plan_entry(plan, 1, length)
+        assert far.known_terms == ((1, 1),)
+        assert far.code_terms == tuple((j, q - 1) for j in range(1, length))
+    # The bound is on the kernel's dimension: x_1 sent d + 1 times.  Up to
+    # the bound the demand for x_2 is refused as unservable, which needs no
+    # walk; one past it the code is refused before any demand is read.
+    receiver = {"id": 1, "knows": [], "wants": [2]}
+    problem = problem_from_mapping({"q": q, "n": 2, "receivers": [receiver]})
+    for d in (most, most + 1):
+        code = LinearCode(q=q, n=2, columns=((1, 0),) * (d + 1))
+        assert len(ColumnBasis.of(2, q, code.columns).kernel) == d
+        with pytest.raises(InfeasibleError) as caught:
+            decoding_plan(code, problem)
+        if d == most:
+            assert str(caught.value) == "receiver 1 cannot recover message 2 from this code"
         else:
-            with pytest.raises(InfeasibleError, match=f"longer than {longest} over F_{q}$"):
-                decoding_plan(code, problem)
+            assert str(caught.value) == (
+                "decoding-plan search not attempted for codes with more than "
+                f"{most} dependent columns (length minus rank) over F_{q}"
+            )
 
 
 def test_designed_300_receiver_code_gets_an_exact_plan():
     problem = parse_problem_text(random_square_problem_text(300, 2, 0.1, seed=300))
     design = design_min_max_code(problem)
     code = design.code
+    # far longer than the kernel bound, but with independent columns
     assert code.length > PLAN_SEARCH_LIMIT
+    assert ColumnBasis.of(code.n, code.q, code.columns).kernel == ()
     plan = decoding_plan(code, problem)
     assert [(e.receiver, e.demand) for e in plan.entries] == problem.demands()
 

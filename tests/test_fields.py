@@ -1,15 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from uniprior.fields import (
-    ColumnBasis,
-    SpanBasis,
-    pack_bits,
-    unit_vector,
-    vec_add,
-    vec_scale,
-)
+from oracles import vec_add, vec_scale
+from uniprior.fields import ColumnBasis, SpanBasis, pack_bits, unit_vector
 
 
 def unpack_bits(mask, n):
@@ -110,7 +105,48 @@ def test_column_basis_recovers_coordinates(q):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_column_basis_refuses_dependent_columns(q):
-    assert ColumnBasis.of(3, q, [(1, 1, 0), (0, 1, 1), (1, 2 % q, 1)]) is None
-    assert ColumnBasis.of(2, q, [(1, 0), (0, 1), (1, 1)]) is None
-    assert ColumnBasis.of(2, q, [(1, 0), (0, 1)]) is not None
+def test_column_basis_keeps_dependent_columns_as_kernel(q):
+    # c3 = c1 + c2 (over F_2 and F_3): one kernel vector, and the sum of the
+    # first two columns is planned as the third alone
+    basis = ColumnBasis.of(3, q, [(1, 1, 0), (0, 1, 1), (1, 2 % q, 1)])
+    assert len(basis.kernel) == 1
+    assert basis.coordinates([(1, 1), (2, 2 % q), (3, 1)]) == ((3, 1),)
+    basis = ColumnBasis.of(2, q, [(1, 0), (0, 1), (1, 1)])
+    assert len(basis.kernel) == 1
+    assert basis.coordinates([(1, 1), (2, 1)]) == ((3, 1),)
+    assert basis.coordinates([(1, 1)]) == ((1, 1),)
+    assert basis.coordinates([(2, q - 1)]) == ((2, q - 1),)
+    assert ColumnBasis.of(2, q, [(1, 0), (0, 1)]).kernel == ()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_column_basis_finds_the_lightest_solution(q):
+    # Any columns, repeats, multiples and zero columns included: the
+    # coordinates are the solution with the fewest nonzero coefficients, then
+    # the earliest sorted column list, found here by trying all q^N of them.
+    rng = random.Random(31 + q)
+    dependent = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        columns = []
+        for _ in range(rng.randint(1, n + 2)):
+            if columns and rng.random() < 0.3:
+                col = vec_scale(rng.choice(columns), rng.randrange(q), q)
+            else:
+                col = tuple(rng.randrange(q) for _ in range(n))
+            columns.append(col)
+        target = tuple(rng.randrange(q) for _ in range(n))
+        solutions = []
+        for coeffs in itertools.product(range(q), repeat=len(columns)):
+            vec = (0,) * n
+            for c, col in zip(coeffs, columns):
+                vec = vec_add(vec, vec_scale(col, c, q), q)
+            if vec == target:
+                terms = tuple((j, c) for j, c in enumerate(coeffs, start=1) if c)
+                solutions.append((len(terms), [j for j, _ in terms], terms))
+        basis = ColumnBasis.of(n, q, columns)
+        assert len(basis.kernel) == len(columns) - SpanBasis(n, q, columns).rank
+        dependent += bool(basis.kernel)
+        found = basis.coordinates(list(enumerate(target, start=1)))
+        assert found == (min(solutions)[2] if solutions else None)
+    assert dependent > 50

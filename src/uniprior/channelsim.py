@@ -25,7 +25,7 @@ import numpy as np
 from .codegen import LinearCode, DecodingPlan, design_min_max_code, parse_code
 from .enumeration import enumerate_optimal_codes, optimal_length
 from .errors import ValidationError
-from .graphcore import IndexCodingProblem, _as_int, load_yaml
+from .graphcore import IndexCodingProblem, _as_int, _require_keys, load_yaml
 
 DEFAULT_SEED = 20240
 # Trials are simulated in fixed-size blocks; each block owns one RNG stream.
@@ -113,14 +113,8 @@ def _as_float(value, rule: str) -> float:
 def config_from_mapping(data) -> ChannelConfig:
     if not isinstance(data, dict):
         raise ValidationError("config document must be a mapping")
-    allowed = {"modulation", "mapping", "fading", "snr_db", "trials", "seed", "rician_k"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValidationError(f"unknown field(s) {sorted(unknown)} in config document")
     required = {"modulation", "mapping", "fading", "snr_db", "trials"}
-    missing = required - set(data)
-    if missing:
-        raise ValidationError(f"missing field(s) {sorted(missing)} in config document")
+    _require_keys(data, required, "config document", frozenset({"seed", "rician_k"}))
 
     snr = data["snr_db"]
     if not isinstance(snr, list) or not snr:
@@ -354,6 +348,15 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def check_config_field(problem: IndexCodingProblem, config: ChannelConfig) -> None:
+    """Refuse a modulation whose symbols are not over the problem's field."""
+    if config.field_order() != problem.q:
+        raise ValidationError(
+            f"modulation {config.modulation} carries F_{config.field_order()} symbols "
+            f"but the problem is over F_{problem.q}"
+        )
+
+
 def simulate_bep(
     problem: IndexCodingProblem,
     code: LinearCode,
@@ -370,11 +373,7 @@ def simulate_bep(
     errors} with denominator trials * code length, for checking measured
     per-transmission error rates against the closed-form combination law.
     """
-    if config.field_order() != problem.q:
-        raise ValidationError(
-            f"modulation {config.modulation} carries F_{config.field_order()} symbols "
-            f"but the problem is over F_{problem.q}"
-        )
+    check_config_field(problem, config)
     if plan.code != code:
         raise ValidationError("decoding plan was built for a different code")
     if code.length == 0:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .analytic import ErrorParams, tabulate
 from .channelsim import (
+    check_config_field,
     parse_config,
     records_to_csv,
     resolve_code_selector,
@@ -124,6 +125,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     problem = parse_problem(args.problem)
     config = with_overrides(parse_config(args.config), seed=args.seed, trials=args.trials)
+    check_config_field(problem, config)
     codes = [(label, resolve_code_selector(problem, label)) for label in args.code]
     runs = []
     for label, code in codes:

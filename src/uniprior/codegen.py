@@ -305,8 +305,9 @@ def build_index_code(
 class CodeDesign:
     """Full output of the tree-based design pipeline for one problem."""
 
-    problem: IndexCodingProblem
     reduction: SquareReduction
+    # Read by no caller, but dropping it moves design_dense's one full garbage
+    # collection per block into another operation (op_p50_ms ×1.24).
     graph: InformationFlowGraph
     pruned: PrunedGraph
     trees: tuple[tuple[tuple[int, int], ...], ...]
@@ -332,7 +333,7 @@ def design_min_max_code(problem: IndexCodingProblem) -> CodeDesign:
         message_of_vertex=reduction.message_of_vertex,
         n=problem.n,
     )
-    return CodeDesign(problem, reduction, graph, pruned, trees, code)
+    return CodeDesign(reduction, graph, pruned, trees, code)
 
 
 @dataclass(frozen=True)
@@ -407,6 +408,14 @@ def _solved_decode(
     )
 
 
+def check_code_space(q: int, n: int, problem: IndexCodingProblem) -> None:
+    """Refuse a code over F_q on n messages unless problem has that field and n."""
+    if q != problem.q:
+        raise ValidationError(f"code is over q={q} but problem is over q={problem.q}")
+    if n != problem.n:
+        raise ValidationError(f"code covers {n} messages but problem has {problem.n}")
+
+
 def decoding_plan(code: LinearCode, problem: IndexCodingProblem) -> DecodingPlan:
     """Minimal-count decoding recipe for every (receiver, demand) pair.
 
@@ -419,10 +428,7 @@ def decoding_plan(code: LinearCode, problem: IndexCodingProblem) -> DecodingPlan
     optimal-length code has d = 0, so its plan is read off directly.  Codes
     are refused when q^d exceeds 2^PLAN_SEARCH_LIMIT.
     """
-    if code.q != problem.q:
-        raise ValidationError(f"code is over q={code.q} but problem is over q={problem.q}")
-    if code.n != problem.n:
-        raise ValidationError(f"code covers {code.n} messages but problem has {problem.n}")
+    check_code_space(code.q, code.n, problem)
     basis = ColumnBasis.of(code.n, code.q, code.columns)
     if code.q ** len(basis.kernel) > 1 << PLAN_SEARCH_LIMIT:
         most = next(d for d in itertools.count() if code.q ** (d + 1) > 1 << PLAN_SEARCH_LIMIT)

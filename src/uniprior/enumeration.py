@@ -7,10 +7,10 @@ its known unit vectors, inside it.  So the census walks the subspaces of
 F_q^n (in reduced row echelon form), tests each for decodability once, and
 then lists the N-subsets of candidate codewords that span a decodable one.
 When N is minimal these are exactly the optimal-length linear codes.
-Classification reads each code's transmission counts off a weight table over
-F_q^n: the fewest columns that combine to each vector of the span.  numpy
-builds the tables a block of same-length codes at a time, from the subset
-sums of their columns.
+Classification, within the same bound on message counts, reads every code's
+transmission counts off a weight table over F_q^n: the fewest columns that
+combine to each vector of the span.  numpy builds the tables a block of
+same-length codes at a time, from the subset sums of their columns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .codegen import LinearCode, codeword_label, decoding_plan, transmission_counts
+from .codegen import LinearCode, check_code_space, codeword_label
 from .errors import InfeasibleError, ValidationError
 from .graphcore import (
     IndexCodingProblem,
@@ -234,29 +234,14 @@ def _plus_array(n: int, q: int) -> np.ndarray:
     return plus
 
 
-@functools.lru_cache(maxsize=None)
-def _sum_levels(q: int, m: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
-    """(order, levels) for the q^m subset sums _weight_tables lists over m
-    columns.  Sum j takes column k with the coefficient of j's base-q digit
-    k, so its weight is j's count of nonzero digits; order lists the sums
-    heaviest first, and order[lo:hi] are those of weight w for each (w, lo, hi)."""
-    weight = np.zeros(1, dtype=np.int8)
-    for _ in range(m):
-        weight = np.concatenate([weight] + [weight + 1] * (q - 1))
-    ends = np.cumsum(np.bincount(weight)[::-1]).tolist()
-    order = np.argsort(-weight, kind="stable")
-    order.flags.writeable = False  # shared by every caller
-    return order, tuple(zip(range(m, -1, -1), [0, *ends], ends))
-
-
 def _weight_tables(numbers: np.ndarray, n: int, q: int) -> np.ndarray:
     """W[k, p]: the fewest columns of code k that combine, with nonzero
     coefficients, to vector p of F_q^n; n + 1 for p outside their span.
 
     numbers is (K, N): code k's column vector numbers.  The first n columns
     list every subset sum by doubling (the sums so far, then those plus a x
-    for each nonzero a), and the table takes the sums' weights level by
-    level, heaviest first, so the least wins.  Columns past n would list
+    for each nonzero a, one column heavier), and each cell of the table keeps
+    the least weight of the sums that land on it.  Columns past n would list
     more sums than there are vectors, so they take
     W[p] = min over a of W[p - a x] + [a != 0] instead.
     """
@@ -269,17 +254,16 @@ def _weight_tables(numbers: np.ndarray, n: int, q: int) -> np.ndarray:
         return [x] if q == 2 else [x, plus.take(x * size + x)]
 
     sums = np.zeros((q**doubled, codes), dtype=np.intp)  # one column per code
+    weights = np.zeros(q**doubled, dtype=np.int8)  # the columns each sum combines
     listed = 1
     for x in numbers[:, :doubled].T:
         for a, ax in enumerate(multiples(x), start=1):
             sums[a * listed : (a + 1) * listed] = plus.take(sums[:listed] * size + ax)
+            weights[a * listed : (a + 1) * listed] = weights[:listed] + 1
         listed *= q
-    order, levels = _sum_levels(q, doubled)
-    cells = sums[order] + np.arange(0, codes * size, size)  # into the flat table
-    table = np.full(codes * size, n + 1, dtype=np.int8)
-    for w, lo, hi in levels:
-        table[cells[lo:hi]] = w
-    table = table.reshape(codes, size)
+    cells = sums + np.arange(0, codes * size, size)  # into the flat table
+    table = np.full((codes, size), n + 1, dtype=np.int8)
+    np.minimum.at(table.ravel(), cells.ravel(), np.repeat(weights, codes))  # ravel: a view
     for x in numbers[:, doubled:].T:
         # in place: over F_3 the 2x step also sees W[p + 3x] + 2 = W[p] + 2,
         # which never wins
@@ -293,35 +277,28 @@ def classify_codes(problem: IndexCodingProblem, codes: Iterable[LinearCode]) -> 
     """Group codes by their worst per-demand transmission count.
 
     Indexes are 1-based and follow the order codes are supplied in (for
-    enumerate_optimal_codes, the deterministic lexicographic order).  Within
-    the census bound, runs of codes of one length over the problem's (q, n)
-    are classified a block at a time: one weight table per code (see
-    _weight_tables), and a demand's count is the table's least entry over
-    its coset e_d - span(e_k : k known), which is decoding_plan's count by
-    definition.  Other codes, and every code of a problem on more messages
-    than the census allows, get a decoding_plan.  An undecodable code raises
-    decoding_plan's InfeasibleError before any later code is planned.
+    enumerate_optimal_codes, the deterministic lexicographic order).  Runs of
+    codes of one length are classified a block at a time: one weight table
+    per code (see _weight_tables), and a demand's count is the table's least
+    entry over its coset e_d - span(e_k : k known), which is decoding_plan's
+    count by definition.  Problems past the census bound are refused as
+    enumerate_optimal_codes refuses them; a run over another field or
+    message count raises decoding_plan's ValidationError when it is reached,
+    and an undecodable code raises decoding_plan's InfeasibleError before any
+    later code is classified.
     """
+    _check_enumeration_bounds(problem)
     n, q = problem.n, problem.q
-    tabled = n <= ENUMERATION_MESSAGE_LIMIT.get(q, 0)
-    if tabled:
-        plus, _, number = _numbering(n, q)
-        cosets = _demand_cosets(problem, plus)
-        keys = [key for key, _ in cosets]
-        targets = np.array([t for _, members in cosets for t in members], dtype=np.intp)
-        starts = np.cumsum([0] + [len(members) for _, members in cosets[:-1]])
-        block_size = max(1, BLOCK_ENTRIES // max(q**n, len(targets)))
-
-    def block_of(code):  # the length of the codes it is tabled with; None: planned
-        return len(code.columns) if tabled and (code.q, code.n) == (q, n) else None
+    plus, _, number = _numbering(n, q)
+    cosets = _demand_cosets(problem, plus)
+    keys = [key for key, _ in cosets]
+    targets = np.array([t for _, members in cosets for t in members], dtype=np.intp)
+    starts = np.cumsum([0] + [len(members) for _, members in cosets[:-1]])
+    block_size = max(1, BLOCK_ENTRIES // max(q**n, len(targets)))
 
     rows: list[CodeClassRow] = []
-    for length, run in itertools.groupby(codes, block_of):
-        if length is None:
-            for code in run:
-                counts = transmission_counts(decoding_plan(code, problem))
-                rows.append(CodeClassRow(len(rows) + 1, code, counts, max(counts.values(), default=0)))
-            continue
+    for (code_q, code_n, length), run in itertools.groupby(codes, lambda c: (c.q, c.n, len(c.columns))):
+        check_code_space(code_q, code_n, problem)
         while block := list(itertools.islice(run, block_size)):
             columns = itertools.chain.from_iterable(code.columns for code in block)
             numbers = np.fromiter(map(number.__getitem__, columns), dtype=np.intp)

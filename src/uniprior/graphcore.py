@@ -88,11 +88,11 @@ class SquareReduction:
     message_of_vertex: dict[int, int] = field(default_factory=dict)
 
 
-def _require_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValidationError(f"unknown field(s) {sorted(unknown)} in {where}")
-    missing = allowed - set(mapping)
+def _require_keys(mapping: dict, required: set[str], where: str, optional: frozenset = frozenset()) -> None:
+    unknown = set(mapping) - required
+    if unknown and not unknown <= optional:
+        raise ValidationError(f"unknown field(s) {sorted(unknown - optional)} in {where}")
+    missing = required - set(mapping)
     if missing:
         raise ValidationError(f"missing field(s) {sorted(missing)} in {where}")
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FIXTURES, code_path, config_path, problem_path, random_square_problem_text
 from test_codegen import dependent_path_code
-from uniprior import cli, codegen, enumeration, graphcore
+from uniprior import channelsim, cli, codegen, enumeration, graphcore
 from uniprior.codegen import LinearCode, design_min_max_code, parse_code, write_code
 from uniprior.fields import unit_vector
 from uniprior.graphcore import parse_problem, parse_problem_text
@@ -392,6 +392,30 @@ def test_simulate_fixture_code_file():
     assert len(result.stdout.strip().split("\n")) == 4 + 3 * 11
 
 
+def test_simulate_checks_the_field_before_resolving_codes(tmp_path, monkeypatch, capsys):
+    # A 3-PSK config on an F_2 problem is refused before any code is resolved
+    # or planned: neither the census behind enum:1 nor the plan of a matrix:
+    # code whose columns have a 20-dimensional kernel is paid for.
+    called = []
+
+    def spy(name):
+        def refuse(*args):
+            called.append(name)
+            raise AssertionError(f"{name} ran before the field check")
+
+        return refuse
+
+    monkeypatch.setattr(cli, "decoding_plan", spy("decoding_plan"))
+    monkeypatch.setattr(channelsim, "enumerate_optimal_codes", spy("enumerate_optimal_codes"))
+    units = [unit_vector(4, i) for i in range(1, 5)]
+    write_code(LinearCode(q=2, n=4, columns=tuple(units + units[:1] * 20)), tmp_path / "dependent.yaml")
+    argv = ["simulate", "--problem", str(problem_path("four_user_cycle")), "--config", str(config_path("rayleigh_3psk"))]
+    argv += ["--code", "enum:1", "--code", f"matrix:{tmp_path / 'dependent.yaml'}"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: modulation 3 carries F_3 symbols but the problem is over F_2\n"
+    assert called == []
+
+
 # Frozen digests of `uniprior simulate` stdout: a change to the channel path,
 # the RNG draw order or the CSV writer that moves any byte fails here.  Code
 # labels embed the selector text, so the runs use paths relative to the
@@ -575,7 +599,6 @@ def test_import_builds_no_cached_table():
         "enumeration._numbering",
         "enumeration._plus_array",
         "enumeration._subspaces",
-        "enumeration._sum_levels",
     }
     assert {f"uniprior.{name}" for name in lazy} <= set(sizes)
     assert sizes == dict.fromkeys(sizes, 0)

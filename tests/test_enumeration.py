@@ -338,14 +338,10 @@ def block_size(problem):
     return enumeration.BLOCK_ENTRIES // problem.q**problem.n
 
 
-@pytest.fixture
-def no_plans(monkeypatch):
-    """classify_codes must count from weight tables within the census bound."""
-
-    def refuse(code, problem):
-        raise AssertionError("classify_codes built a decoding plan")
-
-    monkeypatch.setattr(enumeration, "decoding_plan", refuse)
+def test_classification_counts_without_plans():
+    # classify_codes counts from weight tables only; it has no planner to call.
+    assert not hasattr(enumeration, "decoding_plan")
+    assert not hasattr(enumeration, "transmission_counts")
 
 
 def every_kth(codes, most):
@@ -353,7 +349,7 @@ def every_kth(codes, most):
 
 
 @pytest.mark.parametrize("problem", [*census_fixtures(), *NAMED_CENSUS_PROBLEMS])
-def test_table_counts_match_plans(problem, no_plans):
+def test_table_counts_match_plans(problem):
     # Every optimal code, then the codes one column longer, many of them
     # with dependent columns.  Where there are more than 20,000 (five_user_cycle
     # has 86,016), every k-th in lex order, still several blocks; against
@@ -366,7 +362,7 @@ def test_table_counts_match_plans(problem, no_plans):
         assert table_rows(problem, sample) == plan_rows(problem, sample)
 
 
-def test_table_counts_match_plans_on_random_problems(no_plans):
+def test_table_counts_match_plans_on_random_problems():
     # Receivers that know several messages, or none, and longer codes with
     # dependent columns over both fields.
     rng = random.Random(20261020)
@@ -379,7 +375,7 @@ def test_table_counts_match_plans_on_random_problems(no_plans):
             assert table_rows(problem, codes) == plan_rows(problem, codes), (problem, length)
 
 
-def test_codes_longer_than_n_match_references(no_plans):
+def test_codes_longer_than_n_match_references():
     # Past n columns the tables switch from subset sums to the column
     # recurrence.  five_user_cycle at opt + 2 (N = 6 > n = 5): its first
     # codes in lex order, and optimal codes with one more column appended
@@ -404,7 +400,7 @@ def test_codes_longer_than_n_match_references(no_plans):
 
 
 @pytest.mark.parametrize("problem", [*census_fixtures(), *NAMED_CENSUS_PROBLEMS])
-def test_random_codes_with_repeats_and_multiples_match_references(problem, no_plans):
+def test_random_codes_with_repeats_and_multiples_match_references(problem):
     # Columns drawn with replacement from every nonzero vector (over F_3 not
     # only the scaled-to-1 ones), at every length up to n + 2.  Decodable
     # codes are classified as one stream; each undecodable one raises the
@@ -428,7 +424,7 @@ def test_random_codes_with_repeats_and_multiples_match_references(problem, no_pl
     assert table_rows(problem, decodable) == weight_rows(problem, decodable) == plan_rows(problem, decodable)
 
 
-def test_hand_made_codes_with_repeats_multiples_and_no_columns(no_plans):
+def test_hand_made_codes_with_repeats_multiples_and_no_columns():
     three = parse_problem(problem_path("three_user"))
     repeated = [
         LinearCode(q=2, n=3, columns=((1, 1, 0), (0, 1, 1), (1, 1, 0))),
@@ -447,7 +443,7 @@ def test_hand_made_codes_with_repeats_multiples_and_no_columns(no_plans):
     assert table_rows(idle, empty) == plan_rows(idle, empty) == [([], 0)] * 3
 
 
-def test_stream_that_mixes_lengths(no_plans):
+def test_stream_that_mixes_lengths():
     # A block holds codes of one length, so every change of length starts one.
     problem = parse_problem(problem_path("four_user_cycle"))
     by_length = [list(enumerate_optimal_codes(problem, length)) for length in (3, 4, 5)]
@@ -459,7 +455,7 @@ def test_stream_that_mixes_lengths(no_plans):
 
 
 @pytest.mark.parametrize("entries", [1, 200, None])
-def test_stream_longer_than_one_block(entries, monkeypatch, no_plans):
+def test_stream_longer_than_one_block(entries, monkeypatch):
     # The F_3 four-cycle's 1,872 optimal codes: more than one block at the
     # default size, and one or two codes per block at the smaller ones.
     problem = FOUR_CYCLE_F3
@@ -479,28 +475,20 @@ def test_stream_longer_than_one_block(entries, monkeypatch, no_plans):
         (),
     ],
 )
-def test_undecodable_code_raises_the_plan_refusal(columns, monkeypatch):
+def test_undecodable_code_raises_the_plan_refusal(columns):
     # The undecodable code comes after more than a full block of decodable
     # ones and before a code over F_3, which decoding_plan would refuse with
-    # a ValidationError; the refusal must come first and no plan be built.
+    # a ValidationError; the refusal must come first.
     problem = parse_problem(problem_path("three_user"))
     code = LinearCode(q=2, n=3, columns=columns)
     with pytest.raises(InfeasibleError) as by_plan:
         decoding_plan(code, problem)
-    planned = []
-
-    def spy(code, problem):
-        planned.append(code)
-        return decoding_plan(code, problem)
-
-    monkeypatch.setattr(enumeration, "decoding_plan", spy)
     designed = design_min_max_code(problem).code
     other_field = LinearCode(q=3, n=3, columns=((1, 1, 0),))
     stream = [designed] * (block_size(problem) + 1) + [code, other_field]
     with pytest.raises(InfeasibleError) as by_table:
         classify_codes(problem, stream)
     assert str(by_table.value) == str(by_plan.value)
-    assert planned == []
 
 
 def test_codes_over_other_fields_or_lengths_are_refused_as_plans_refuse_them():
@@ -512,16 +500,15 @@ def test_codes_over_other_fields_or_lengths_are_refused_as_plans_refuse_them():
 
 
 @pytest.mark.parametrize("name", ["seven_user_complete", "seven_user_complete_f3"])
-def test_codes_above_the_census_bound_get_decoding_plans(name, monkeypatch):
+def test_codes_above_the_census_bound_are_refused_like_the_census(name):
+    # Past the census bound there are no weight tables; the library route to
+    # such a code's counts is transmission_counts(decoding_plan(...)).
     problem = parse_problem(problem_path(name))
     assert problem.n > ENUMERATION_MESSAGE_LIMIT[problem.q]
-    codes = [design_min_max_code(problem).code]
-    planned = []
-
-    def spy(code, problem):
-        planned.append(code)
-        return decoding_plan(code, problem)
-
-    monkeypatch.setattr(enumeration, "decoding_plan", spy)
-    assert table_rows(problem, codes) == plan_rows(problem, codes)
-    assert planned == codes
+    with pytest.raises(InfeasibleError) as by_census:
+        next(enumerate_optimal_codes(problem, optimal_length(problem)))
+    assert "exhaustive enumeration" in str(by_census.value)
+    for stream in ([], [design_min_max_code(problem).code]):
+        with pytest.raises(InfeasibleError) as by_table:
+            classify_codes(problem, stream)
+        assert str(by_table.value) == str(by_census.value)

@@ -376,38 +376,6 @@ class DecodingPlan:
     entries: tuple[DemandPlan, ...]
 
 
-def _solved_decode(
-    basis: ColumnBasis, receiver: int, demand: int, known: list[int]
-) -> DemandPlan:
-    """The plan with the fewest columns, then the earliest column list, then
-    the earliest known-message multiple alphas in itertools.product order.
-
-    basis.coordinates gives the lightest solution of e_demand - sum alphas *
-    e_k for each alphas.  (At the least count two alphas never tie on the
-    columns over F_2 and F_3: their coordinates would differ inside one
-    support, and an affine combination of the two would use fewer columns.)
-    """
-    q = basis.q
-    best = None
-    for alphas in itertools.product(range(q), repeat=len(known)):
-        terms = [(demand, 1)] + [(k, -a) for k, a in zip(known, alphas) if a]
-        coords = basis.coordinates(terms)
-        if coords is None:
-            continue
-        key = (len(coords), [col for col, _ in coords])
-        if best is None or key < best[0]:
-            best = (key, alphas, coords)
-    if best is None:
-        raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
-    _, alphas, coords = best
-    return DemandPlan(
-        receiver=receiver,
-        demand=demand,
-        known_terms=tuple((k, a) for k, a in zip(known, alphas) if a),
-        code_terms=coords,
-    )
-
-
 def check_code_space(q: int, n: int, problem: IndexCodingProblem) -> None:
     """Refuse a code over F_q on n messages unless problem has that field and n."""
     if q != problem.q:
@@ -423,10 +391,13 @@ def decoding_plan(code: LinearCode, problem: IndexCodingProblem) -> DecodingPlan
     combination with a multiple of the receiver's known messages yields the
     wanted one; ties go to the lexicographically earliest column subset and
     smallest coefficients.  One row reduction of the columns serves every
-    demand.  Each multiple's solutions form one coset of the columns' kernel,
-    of q^d members for kernel dimension d; every designed code and every
-    optimal-length code has d = 0, so its plan is read off directly.  Codes
-    are refused when q^d exceeds 2^PLAN_SEARCH_LIMIT.
+    demand, and one table of each receiver's known-message multiples, keyed
+    by residue, serves all its demands: a demand solves only the multiples
+    whose residue is its own.  Each multiple's solutions form one coset of
+    the columns' kernel, of q^d members for kernel dimension d; every
+    designed code and every optimal-length code has d = 0, so its plan is
+    read off directly.  Codes are refused when q^d exceeds
+    2^PLAN_SEARCH_LIMIT.
     """
     check_code_space(code.q, code.n, problem)
     basis = ColumnBasis.of(code.n, code.q, code.columns)
@@ -436,10 +407,16 @@ def decoding_plan(code: LinearCode, problem: IndexCodingProblem) -> DecodingPlan
             "decoding-plan search not attempted for codes with more than "
             f"{most} dependent columns (length minus rank) over F_{code.q}"
         )
-    entries = [
-        _solved_decode(basis, receiver, demand, sorted(problem.known_sets[receiver - 1]))
-        for receiver, demand in problem.demands()
-    ]
+    entries = []
+    for receiver, (wants, known) in enumerate(zip(problem.want_sets, problem.known_sets), start=1):
+        if not wants:
+            continue
+        multiples = basis.multiples(sorted(known))
+        for demand in sorted(wants):
+            found = basis.solve(demand, multiples)
+            if found is None:
+                raise InfeasibleError(f"receiver {receiver} cannot recover message {demand} from this code")
+            entries.append(DemandPlan(receiver, demand, *found))
     return DecodingPlan(code=code, entries=tuple(entries))
 
 

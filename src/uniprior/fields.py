@@ -145,6 +145,14 @@ def _positions(mask: int):
         mask ^= low
 
 
+def _lighter(support: int, least: int) -> bool:
+    """Whether a solution on the columns in support beats one on least: it
+    has fewer columns, or as many with the earlier sorted column list (the
+    lowest column where the two differ is in support)."""
+    fewer, differ = support.bit_count() - least.bit_count(), support ^ least
+    return fewer < 0 or fewer == 0 and differ & -differ & support != 0
+
+
 class ColumnBasis:
     """Row reduction of columns c_1..c_N of F_q^n, dependent ones included.
 
@@ -157,7 +165,8 @@ class ColumnBasis:
     instead (the column minus the combination of pivot columns equal to
     it), so every solution is that one plus a member of the kernel's span:
     q^len(kernel) of them, with len(kernel) = N - rank.  Build it with
-    ColumnBasis.of().
+    ColumnBasis.of().  multiples() tabulates a receiver's known-message
+    multiples by residue, and solve() reads one demand's plan from the table.
     """
 
     def __init__(self, n: int, q: int, rows: dict[int, tuple], kernel: list):
@@ -217,11 +226,64 @@ class ColumnBasis:
             rho, b = self._units[msg - 1]
             residue = _add(residue, _scale(rho, coeff, q), q)
             beta = _add(beta, _scale(b, coeff, q), q)
-        if _support(residue, q):
+        return None if _support(residue, q) else self._best(beta, [((), _ZERO[q])])[1]
+
+    def multiples(self, messages: Sequence[int]) -> dict:
+        """Every multiple sum a_k * e_k of the messages, keyed by its residue.
+
+        Maps the residue sum a_k * rho_k to the list of (terms, minus_beta)
+        of the multiples that have it, in itertools.product order of the a_k:
+        terms are the (message, a_k) pairs with a_k nonzero, and minus_beta
+        is -sum a_k * beta_k.  e_d minus a multiple lies in the span iff the
+        multiple's residue is rho_d (see solve()).  The list grows one
+        message at a time: each multiple adds one residue and one beta to
+        those of a shorter one, not one per message.
+        """
+        q = self.q
+        level = [((), _ZERO[q], _ZERO[q])]
+        for msg in messages:
+            rho, beta = self._units[msg - 1]
+            minus = _scale(beta, -1, q)
+            grown = []
+            for terms, residue, minus_beta in level:
+                grown.append((terms, residue, minus_beta))
+                for a in range(1, q):
+                    residue, minus_beta = _add(residue, rho, q), _add(minus_beta, minus, q)
+                    grown.append((terms + ((msg, a),), residue, minus_beta))
+            level = grown
+        table: dict = {}
+        for terms, residue, minus_beta in level:
+            table.setdefault(residue, []).append((terms, minus_beta))
+        return table
+
+    def solve(self, message: int, multiples: dict):
+        """(terms, coordinates) of the lightest e_message minus a multiple.
+
+        multiples is a table from multiples(); only the multiples whose
+        residue is rho_message are solved.  The result has the fewest
+        columns, then the earliest sorted column list, then the earliest
+        multiple in the table's order; its coordinates are listed as
+        coordinates() lists them.  None when no multiple serves.
+        """
+        rho, beta = self._units[message - 1]
+        return self._best(beta, multiples.get(rho, ()))
+
+    def _best(self, beta, options):
+        """The first lightest of beta + minus_beta + span(kernel) over the
+        (terms, minus_beta) options, as (terms, coordinates), or None."""
+        q = self.q
+        best = None
+        for terms, minus_beta in options:
+            x = _add(beta, minus_beta, q)
+            if self.kernel:
+                x = self._lightest(x)
+            support = _support(x, q)
+            if best is None or _lighter(support, least):
+                best, least = (terms, x), support
+        if best is None:
             return None
-        if self.kernel:
-            beta = self._lightest(beta)
-        return tuple((j + 1, _coeff(beta, j, q)) for j in _positions(_support(beta, q)))
+        terms, x = best
+        return terms, tuple((j + 1, _coeff(x, j, q)) for j in _positions(least))
 
     def _lightest(self, beta):
         """The member of beta + span(kernel) that coordinates() returns.
@@ -237,8 +299,8 @@ class ColumnBasis:
             while rest % q == 0:
                 j, rest = j + 1, rest // q
             x = _add(x, self.kernel[j], q)
-            # fewer columns, or as many with the earlier sorted column list:
-            # the lowest bit where the two supports differ is in x's
+            # _lighter(support, least), inlined: a call per step costs about
+            # a fifth of the walk
             support = _support(x, q)
             fewer, differ = support.bit_count() - least.bit_count(), support ^ least
             if fewer < 0 or fewer == 0 and differ & -differ & support:

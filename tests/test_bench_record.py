@@ -49,3 +49,23 @@ def test_record_joins_per_seed_files_and_counts_better_pairs(tmp_path):
     setup = census["setup_s"]
     assert setup["better"] == "lower"
     assert setup["pairs_better"] == "1/3"  # equal runs count for neither side
+
+
+def test_record_leaves_the_ratio_out_when_the_parent_median_is_zero(tmp_path):
+    # A traced census run reads codegen.plan_s = 0: the other metrics still
+    # get their ratio, and no ZeroDivisionError stops the record.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    write_runs(parent / "census-trace1.json", [(1, 100.0, 0.0), (2, 120.0, 0.0)])
+    write_runs(change / "census-trace1.json", [(1, 150.0, 0.0), (2, 130.0, 0.1)])
+    out = tmp_path / "BENCH.json"
+    subprocess.run([sys.executable, str(SCRIPT), str(parent), str(change), "--out", str(out)], check=True)
+
+    census = json.loads(out.read_text())["workloads"]["census-trace1"]
+    assert census["work_per_s"]["change_over_parent"] == 1.2727
+    zero = census["setup_s"]
+    assert zero["change_over_parent"] is None
+    assert zero["parent"] == {"median": 0.0, "q1": 0.0, "q3": 0.0, "spread": 0.0}
+    assert zero["change"]["median"] == 0.05
+    assert zero["pairs_better"] == "0/2"

@@ -798,6 +798,94 @@ def test_plans_match_search_on_random_dependent_codes(q):
     assert 30 < refused < 270
 
 
+def code_with_kernel(rng, q, n, rank, d, inside=()):
+    """Nonzero columns over F_q on n messages, of the given rank and with a
+    kernel of dimension d: a scaled unit column for each message in
+    `inside`, random independent columns up to the rank, then d nonzero
+    combinations of those, in shuffled order."""
+    basis, columns = SpanBasis(n, q), []
+    for msg in inside:
+        columns.append(vec_scale(unit_vector(n, msg), rng.randrange(1, q), q))
+        basis.add(columns[-1])
+    while len(columns) < rank:
+        col = tuple(rng.randrange(q) for _ in range(n))
+        if basis.add(col):
+            columns.append(col)
+    independent = list(columns)
+    while len(columns) < rank + d:
+        combo = (0,) * n
+        for col in independent:
+            combo = vec_add(combo, vec_scale(col, rng.randrange(q), q), q)
+        if any(combo):
+            columns.append(combo)
+    rng.shuffle(columns)
+    return LinearCode(q=q, n=n, columns=tuple(columns))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+def test_plans_match_search_for_receivers_knowing_several_messages(q, d):
+    # One receiver knowing 2-4 messages, its multiples table against the
+    # subset search, on codes with independent columns or a kernel of
+    # dimension d.  Some codes send known messages uncoded, so their residue
+    # is zero; when all of them are, every multiple has residue zero, and a
+    # demand in the span is solved for all q^|known| multiples.
+    rng = random.Random(5300 + 10 * q + d)
+    refused = every_multiple = 0
+    for _ in range(100):
+        n = rng.randint(3, 5 if q == 3 else 6)
+        messages = rng.sample(range(1, n + 1), n)
+        known = messages[: rng.randint(2, min(4, n - 1))]
+        wants = messages[len(known) : len(known) + 2]
+        inside = rng.choice([(), known[:1], known])
+        code = code_with_kernel(rng, q, n, rng.randint(max(1, len(inside)), n), d, inside)
+        receiver = {"id": 1, "knows": known, "wants": wants}
+        problem = problem_from_mapping({"q": q, "n": n, "receivers": [receiver]})
+        was_refused = assert_plan_matches_search(code, problem, independent=d == 0)
+        refused += was_refused
+        table = ColumnBasis.of(n, q, code.columns).multiples(sorted(known))
+        every_multiple += not was_refused and len(table) == 1
+    assert 20 < refused < 80
+    assert every_multiple > 15
+
+
+def test_demand_with_no_multiple_in_the_span_keeps_its_refusal():
+    # no column touches x3, so no multiple of x1 and x2 leaves e3 in the span
+    receiver = {"id": 1, "knows": [1, 2], "wants": [3]}
+    problem = problem_from_mapping({"q": 3, "n": 4, "receivers": [receiver]})
+    code = LinearCode(q=3, n=4, columns=((1, 2, 0, 0), (0, 1, 0, 1), (1, 0, 0, 1)))
+    assert assert_plan_matches_search(code, problem, independent=False)
+    with pytest.raises(InfeasibleError) as caught:
+        decoding_plan(code, problem)
+    assert str(caught.value) == "receiver 1 cannot recover message 3 from this code"
+
+
+def test_each_receiver_with_a_demand_builds_one_table(monkeypatch):
+    built = []
+    multiples = ColumnBasis.multiples
+
+    def counting(self, messages):
+        built.append(list(messages))
+        return multiples(self, messages)
+
+    monkeypatch.setattr(ColumnBasis, "multiples", counting)
+    receivers = [
+        {"id": 1, "knows": [2, 1], "wants": [3, 4, 5]},
+        {"id": 2, "knows": [3], "wants": []},
+        {"id": 3, "knows": [4, 5], "wants": [1]},
+        {"id": 4, "knows": [], "wants": [5, 2]},
+    ]
+    problem = problem_from_mapping({"q": 3, "n": 5, "receivers": receivers})
+    code = LinearCode(q=3, n=5, columns=tuple(unit_vector(5, i) for i in range(1, 6)))
+    assert len(decoding_plan(code, problem).entries) == 6
+    assert built == [[1, 2], [4, 5], []]
+    for name in ("five_user_cycle", "nine_user_skip", "seven_user_complete_f3"):
+        problem = parse_problem(problem_path(name))
+        built.clear()
+        decoding_plan(design_min_max_code(problem).code, problem)
+        assert len(built) == sum(1 for wants in problem.want_sets if wants)
+
+
 def _dependent_codes_above_optimum(problem):
     """The codes of `enumerate --length opt+1` whose columns are dependent.
 

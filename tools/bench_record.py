@@ -9,7 +9,9 @@ joined, so a comparison run one seed at a time can keep one file per seed
 (census-trace0.seed3.json).  For every workload found on both sides the
 record holds, per metric, each side's median and quartiles (as repeat.py
 prints them), the change's median over the parent's, and the number of seeds
-where the change's run beat the parent's run of the same seed.  The machine
+where the change's run beat the parent's run of the same seed; the ratio is
+null when the parent's median is 0 (a traced layer the workload never
+enters, such as codegen.plan_s on census).  The machine
 block gives the core count and the Python, numpy and PyYAML versions of the
 interpreter that runs this script.  --notes merges a JSON object of further
 measurements into the record under "notes".
@@ -58,12 +60,13 @@ def compare(parent: dict[int, dict], change: dict[int, dict]) -> dict:
         before = [parent[s]["metrics"][metric]["value"] for s in seeds]
         after = [change[s]["metrics"][metric]["value"] for s in seeds]
         better = sum(a > b if higher else a < b for a, b in zip(after, before))
+        base = statistics.median(before)
         record[metric] = {
             "unit": first["unit"],
             "better": "higher" if higher else "lower",
             "parent": summary(before),
             "change": summary(after),
-            "change_over_parent": round(statistics.median(after) / statistics.median(before), 4),
+            "change_over_parent": round(statistics.median(after) / base, 4) if base else None,
             "pairs_better": f"{better}/{len(seeds)}",
             "parent_runs": [round(v, 6) for v in before],
             "change_runs": [round(v, 6) for v in after],
